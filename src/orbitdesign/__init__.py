@@ -26,14 +26,11 @@ from .orbits import (
 )
 from .moments import MomentSet, design_moments, orbit_moment, orbit_moment_sum
 from .info_matrix import (
-    BlockEigenvalues,
     InfoMatrix,
-    InverseCoefficients,
     ModelDims,
     RegularityReport,
     assemble_general,
     assemble_inverse,
-    block_eigenvalues,
     build_s_matrix,
     info_matrix_of,
     inverse_coefficients,
@@ -62,11 +59,9 @@ from .verify import (
 )
 
 __all__ = [
-    "BlockEigenvalues",
     "DesignPoint",
     "EstimabilityError",
     "InfoMatrix",
-    "InverseCoefficients",
     "KwReport",
     "ModelDims",
     "MomentSet",
@@ -84,7 +79,6 @@ __all__ = [
     "assemble_general",
     "assemble_inverse",
     "asymmetric_reduce",
-    "block_eigenvalues",
     "brute_force_info",
     "build_s_matrix",
     "d_efficiency",

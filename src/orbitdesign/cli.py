@@ -27,6 +27,7 @@ from typing import Optional, Sequence
 
 from .construct import (
     _threshold_discriminant,
+    asymmetric_reduce,
     narrow_design,
     threshold_b,
     wide_design,
@@ -80,40 +81,23 @@ class DesignReport:
 def _generate(k_factors: int, lower: int, upper: int, ell: Optional[int]):
     """Dispatch to the constructor matching the region; returns (design, regime)."""
     K = k_factors
-    region = Region(K, lower, upper)
-    disc = _threshold_discriminant(K) if K >= 2 else 0
-
-    if not region.symmetric():
-        effective = max(lower, K - upper)
-        if K > 3:
-            t = K - 2 * effective
-            if t * t < disc:
-                raise UnsupportedRegionError(
-                    f"asymmetric bounds [{lower}, {upper}] are narrower than the "
-                    f"threshold B_{K} = {threshold_b(K):.4f}; only wide asymmetric "
-                    "bounds are supported"
-                )
-        spec = wide_design(K, effective, ell)
-        return spec.design, _wide_regime_name(K, effective, disc)
-
+    if not Region(K, lower, upper).symmetric():
+        design = asymmetric_reduce(K, lower, upper, ell)
+        return design, _wide_regime_name(K, max(lower, K - upper))
     if K <= 3:
-        spec = wide_design(K, lower, None)
-        return spec.design, "full-factorial"
-
-    t2 = (K - 2 * lower) ** 2
-    if t2 >= disc:
-        spec = wide_design(K, lower, ell)
-        return spec.design, _wide_regime_name(K, lower, disc)
+        return wide_design(K, lower, None).design, "full-factorial"
+    if (K - 2 * lower) ** 2 >= _threshold_discriminant(K):
+        return wide_design(K, lower, ell).design, _wide_regime_name(K, lower)
     if ell is not None:
         raise OrbitDesignError("--ell applies to the wide regime only")
-    narrow = narrow_design(K, lower)
-    return narrow.design, "narrow"
+    return narrow_design(K, lower).design, "narrow"
 
 
-def _wide_regime_name(k_factors: int, lower: int, disc: int) -> str:
+def _wide_regime_name(k_factors: int, lower: int) -> str:
     if k_factors <= 3:
         return "full-factorial"
-    return "threshold" if (k_factors - 2 * lower) ** 2 == disc else "wide"
+    threshold = (k_factors - 2 * lower) ** 2 == _threshold_discriminant(k_factors)
+    return "threshold" if threshold else "wide"
 
 
 def _build_report(
@@ -317,7 +301,7 @@ def _wide_rows(k_factors: int) -> list[tuple]:
         if K <= (K - 2 * ell) ** 2 <= disc
     ]
     lowers = [low for low in range(K // 2 + 1) if (K - 2 * low) ** 2 >= disc]
-    center = K // 2 if K % 2 == 0 else (K - 1) // 2
+    center = K // 2
     rows = []
     for low in lowers:
         for ell in ells:
@@ -354,7 +338,7 @@ def _narrow_rows(k_factors: int) -> list[tuple]:
     published listing) although narrow_design handles it.
     """
     K = k_factors
-    center = K // 2 if K % 2 == 0 else (K - 1) // 2
+    center = K // 2
     rows = []
     for low in range(K // 2 + 1):
         if (K - 2 * low) ** 2 >= 3 * K - 2:

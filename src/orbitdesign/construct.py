@@ -33,7 +33,7 @@ from .exceptions import (
     UnsupportedRegionError,
     WrongRegimeError,
 )
-from .info_matrix import log_det_symmetric, model_dims
+from .info_matrix import log_det_derivatives, log_det_symmetric, model_dims
 from .moments import MomentSet, design_moments, orbit_moment
 from .orbits import OrbitDesign, orbit_size
 from .verify import KwReport, kw_check
@@ -59,17 +59,12 @@ def is_integer_threshold(k_factors: int) -> bool:
     return root * root == disc and (k_factors - root) % 2 == 0
 
 
-def _central_orbit(k_factors: int) -> int:
-    """Folded index of the central orbit: K/2 for even K, (K-1)/2 for odd."""
-    return k_factors // 2 if k_factors % 2 == 0 else (k_factors - 1) // 2
-
-
 def full_factorial(k_factors: int) -> OrbitDesign:
     """Uniform weight 2^-K per point, i.e. orbit weights C(K, k) / 2^K."""
     denom = 2**k_factors
     half = {
         k: Fraction(orbit_size(k_factors, k), denom)
-        for k in range(_central_orbit(k_factors) + 1)
+        for k in range(k_factors // 2 + 1)
     }
     return OrbitDesign(k_factors, half, symmetric=True)
 
@@ -91,10 +86,9 @@ def lemma2_design(k_factors: int) -> OrbitDesign:
     lower = (K - math.isqrt(_threshold_discriminant(K))) // 2
     if K % 2 == 0:
         w_outer = Fraction(K, 2 * (3 * K - 2))
-        weights = {lower: w_outer, K // 2: 1 - 2 * w_outer}
     else:
         w_outer = Fraction(K - 1, 2 * (3 * K - 1))
-        weights = {lower: w_outer, (K - 1) // 2: Fraction(1, 2) - w_outer}
+    weights = {lower: w_outer, K // 2: (1 - 2 * w_outer) / (1 + K % 2)}
     design = OrbitDesign(K, weights, symmetric=True)
     _check_identity_moments(design)
     return design
@@ -180,17 +174,12 @@ def wide_design(k_factors: int, lower: int, ell: Optional[int] = None) -> WideDe
     if not 0 <= alpha <= 1:
         raise OrbitDesignError(f"mixing weight alpha={alpha} outside [0, 1]")
 
-    center = _central_orbit(K)
-    if K % 2 == 0:
-        center_weight = alpha * (1 - 2 * w_low) + (1 - alpha) * (1 - 2 * w_ell)
-    else:
-        center_weight = alpha * (Fraction(1, 2) - w_low) + (1 - alpha) * (
-            Fraction(1, 2) - w_ell
-        )
+    # The rest goes to the central orbit, split over its two halves for odd K.
+    center_weight = alpha * (1 - 2 * w_low) + (1 - alpha) * (1 - 2 * w_ell)
     weights = {
         lower: alpha * w_low,
         ell: (1 - alpha) * w_ell,
-        center: center_weight,
+        K // 2: center_weight / (1 + K % 2),
     }
     design = OrbitDesign(K, {k: w for k, w in weights.items() if w > 0}, symmetric=True)
     _check_identity_moments(design)
@@ -218,60 +207,6 @@ class NarrowDesignSpec:
     kw_report: KwReport
 
 
-def _narrow_moment_lines(k_factors: int, lower: int) -> tuple[float, float, float, float]:
-    """m2, m4 of the narrow family as affine functions of the outer weight w:
-    m_j(w) = center_j + w * slope_j."""
-    K = k_factors
-    center = _central_orbit(K)
-    m2_out = float(orbit_moment(K, lower, 2))
-    m4_out = float(orbit_moment(K, lower, 4))
-    m2_cen = float(orbit_moment(K, center, 2))
-    m4_cen = float(orbit_moment(K, center, 4))
-    return m2_cen, 2 * (m2_out - m2_cen), m4_cen, 2 * (m4_out - m4_cen)
-
-
-def _narrow_objective(k_factors: int, lower: int):
-    m2_0, m2_slope, m4_0, m4_slope = _narrow_moment_lines(k_factors, lower)
-
-    def logdet(w: float) -> float:
-        m = MomentSet(0.0, m2_0 + w * m2_slope, 0.0, m4_0 + w * m4_slope)
-        return log_det_symmetric(k_factors, m)
-
-    return logdet
-
-
-def _narrow_derivatives(k_factors: int, lower: int, w: float) -> tuple[float, float]:
-    """First and second derivative of the narrow-family log determinant at w.
-
-    Every determinant factor is affine in w except the interaction block's
-    all-ones eigenvalue, which picks up a -K(K-1) m2^2 / 2 term; with m2, m4
-    affine in w the chain rule gives the sums below.
-    """
-    K = k_factors
-    m2_0, m2_s, m4_0, m4_s = _narrow_moment_lines(K, lower)
-    m2 = m2_0 + w * m2_s
-    m4 = m4_0 + w * m4_s
-    mult_i = K * (K - 3) // 2
-
-    lam_one = 1 + 2 * (K - 2) * m2 + (K - 2) * (K - 3) * m4 / 2 - K * (K - 1) * m2 * m2 / 2
-    d_lam_one = 2 * (K - 2) * m2_s + (K - 2) * (K - 3) * m4_s / 2 - K * (K - 1) * m2 * m2_s
-    dd_lam_one = -K * (K - 1) * m2_s * m2_s
-
-    factors = (
-        (1 + (K - 1) * m2, (K - 1) * m2_s, 0.0, 1),
-        (1 - m2, -m2_s, 0.0, K - 1),
-        (lam_one, d_lam_one, dd_lam_one, 1),
-        (1 + (K - 4) * m2 - (K - 3) * m4, (K - 4) * m2_s - (K - 3) * m4_s, 0.0, K - 1),
-        (1 - 2 * m2 + m4, -2 * m2_s + m4_s, 0.0, mult_i),
-    )
-    first = 0.0
-    second = 0.0
-    for value, d1, d2, exponent in factors:
-        first += exponent * d1 / value
-        second += exponent * (d2 * value - d1 * d1) / (value * value)
-    return first, second
-
-
 def narrow_design(k_factors: int, lower: int) -> NarrowDesignSpec:
     """Optimal design on [L, K-L] for B_K < L < K/2.
 
@@ -285,8 +220,8 @@ def narrow_design(k_factors: int, lower: int) -> NarrowDesignSpec:
         raise EstimabilityError(
             f"for K={K} only the full factorial estimates all parameters"
         )
-    center = _central_orbit(K)
-    if (K % 2 == 0 and lower > K // 2) or (K % 2 == 1 and lower > (K - 1) // 2):
+    center = K // 2
+    if lower > center:
         raise OrbitDesignError(f"lower bound {lower} leaves an empty or invalid region")
     if lower == center:
         # Even K: L = K/2 leaves one orbit; odd K: L = (K-1)/2 leaves the two
@@ -303,7 +238,15 @@ def narrow_design(k_factors: int, lower: int) -> NarrowDesignSpec:
             f"{threshold_b(K):.4f}; use wide_design"
         )
 
-    logdet = _narrow_objective(K, lower)
+    # m2 and m4 are affine in w: m_j(w) = m_j(center) + w * slope_j, exactly.
+    m2_0, m4_0 = orbit_moment(K, center, 2), orbit_moment(K, center, 4)
+    m2_slope = 2 * (orbit_moment(K, lower, 2) - m2_0)
+    m4_slope = 2 * (orbit_moment(K, lower, 4) - m4_0)
+    f2_0, f2_slope, f4_0, f4_slope = map(float, (m2_0, m2_slope, m4_0, m4_slope))
+
+    def logdet(w: float) -> float:
+        return log_det_symmetric(K, MomentSet(0.0, f2_0 + w * f2_slope, 0.0, f4_0 + w * f4_slope))
+
     result = minimize_scalar(
         lambda w: -logdet(w),
         bounds=(1e-12, 0.5 - 1e-12),
@@ -311,10 +254,14 @@ def narrow_design(k_factors: int, lower: int) -> NarrowDesignSpec:
         options={"xatol": 1e-13, "maxiter": 500},
     )
     w = float(result.x)
-    # Newton steps on d(logdet)/dw = 0; the bounded search already brackets
-    # the optimum, polishing pushes the stationarity residual to roundoff.
+    # Newton steps on d(logdet)/dw = 0 from the bracketed optimum.  The
+    # derivatives are taken exactly at the float w: their float roundoff
+    # would leave w* off by up to 1e-13, enough to fail the certificate
+    # near K = 100.
     for _ in range(3):
-        first, second = _narrow_derivatives(K, lower, w)
+        x = Fraction(w)
+        m = MomentSet(0, m2_0 + x * m2_slope, 0, m4_0 + x * m4_slope)
+        first, second = log_det_derivatives(K, m, (0, m2_slope, 0, m4_slope))
         if second >= 0:
             break
         step = first / second
@@ -325,11 +272,7 @@ def narrow_design(k_factors: int, lower: int) -> NarrowDesignSpec:
         if abs(step) < 1e-16:
             break
 
-    if K % 2 == 0:
-        weights = {lower: w, center: 1 - 2 * w}
-    else:
-        weights = {lower: w, center: 0.5 - w}
-    design = OrbitDesign(K, weights, symmetric=True)
+    design = OrbitDesign(K, {lower: w, center: (1 - 2 * w) / (1 + K % 2)}, symmetric=True)
     ld = logdet(w)
     eff = math.exp(ld / model_dims(K).p)
     report = kw_check(design, lower, K - lower)
@@ -341,13 +284,15 @@ def narrow_design(k_factors: int, lower: int) -> NarrowDesignSpec:
     return NarrowDesignSpec(K, lower, w, design, ld, eff, report)
 
 
-def asymmetric_reduce(k_factors: int, lower: int, upper: int) -> OrbitDesign:
+def asymmetric_reduce(
+    k_factors: int, lower: int, upper: int, ell: Optional[int] = None
+) -> OrbitDesign:
     """Optimal design for asymmetric wide bounds via the stricter side.
 
     With effective bound max(L, K-U) <= B_K the fully efficient design for
     the symmetric region [max(L, K-U), K - max(L, K-U)] is supported inside
-    [L, U] and remains optimal there.  Narrower asymmetric bounds are out of
-    scope.
+    [L, U] and remains optimal there; ell is passed on to wide_design.
+    Narrower asymmetric bounds are out of scope.
     """
     K = k_factors
     if not 0 <= lower <= upper <= K:
@@ -361,4 +306,4 @@ def asymmetric_reduce(k_factors: int, lower: int, upper: int) -> OrbitDesign:
                 f"threshold B_{K} = {threshold_b(K):.4f}; only wide asymmetric "
                 "bounds are supported"
             )
-    return wide_design(K, effective).design
+    return wide_design(K, effective, ell).design

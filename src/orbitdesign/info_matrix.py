@@ -1,25 +1,30 @@
 """Information matrices of invariant designs and their block structure.
 
-The model is intercept + K main effects + all C(K,2) two-factor
+The model is intercept + K main effects + all n = C(K,2) two-factor
 interactions, p = 1 + K(K+1)/2 parameters.  For a permutation-invariant
-design the p x p information matrix is determined by the four moments:
+design the p x p information matrix M is determined by the four moments:
 unit diagonal, first row (1, m1 .. m1, m2 .. m2), main-effect block
 (1-m2) I + m2 J, main/interaction block (m1-m3) S^T + m3 11^T, and
 interaction block (1-2m2+m4) I + (m2-m4) S S^T + m4 J, where S is the 0/1
 incidence matrix of factors in interaction pairs.
 
-When the odd moments vanish (sign-symmetric designs) the matrix becomes
-block diagonal up to the intercept/interaction coupling, and determinant,
-inverse and eigenvalues reduce to scalar formulas in m2, m4:
+M commutes with permuting the factors, so it splits along the S_K-isotypic
+parts of the parameter space (the Johnson scheme).  On the bases
+(intercept, 1_K, 1_n), (v, S v) for a main-effect contrast v, and u with
+S^T u = 0, M acts by
 
-    lambda_one = 1 + 2(K-2) m2 + (K-2)(K-3) m4 / 2 - K(K-1) m2^2 / 2
-    lambda_S   = 1 + (K-4) m2 - (K-3) m4          (multiplicity K-1)
-    lambda_I   = 1 - 2 m2 + m4                    (multiplicity K(K-3)/2)
-    det M      = (1+(K-1)m2) (1-m2)^(K-1) * lambda_one * lambda_S^(K-1)
-                 * lambda_I^(K(K-3)/2)
+    A = [[1,  K m1,            n m2                       ],
+         [m1, 1 + (K-1) m2,    (K-1) m1 + C(K-1,2) m3     ],
+         [m2, 2 m1 + (K-2) m3, 1 + 2(K-2) m2 + C(K-2,2) m4]]   once,
+    B = [[1 - m2,  (K-2)(m1 - m3)         ],
+         [m1 - m3, 1 + (K-4) m2 - (K-3) m4]]                  K-1 times,
+    lambda_I = 1 - 2 m2 + m4                                  K(K-3)/2 times,
 
-All scalar formulas stay in exact rational arithmetic when the moments are
-exact; floats enter only at the log/exp boundary.
+with B = [1 - m2] for K = 2 and no lambda_I for K <= 3.  Hence
+det M = det A (det B)^(K-1) lambda_I^(K(K-3)/2), the blocks of M^-1 are
+the block inverses, and tr(M^-1 D) for an invariant D is the multiplicity
+weighted sum of blockwise traces.  This holds for asymmetric designs too,
+and exact moments keep everything exact.
 """
 
 from __future__ import annotations
@@ -27,8 +32,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
-from typing import Union
+from functools import lru_cache
+from itertools import chain, combinations
+from operator import mul
+from typing import NamedTuple, Union
 
 import numpy as np
 
@@ -74,36 +81,12 @@ class InfoMatrix:
     moments: MomentSet
 
 
-@dataclass(frozen=True)
-class BlockEigenvalues:
-    """Eigenvalues of the interaction block (after removing the intercept coupling)
-    together with the two factors of det(M11)."""
+class Block(NamedTuple):
+    """One block of an invariant matrix and how often it repeats in the spectrum."""
 
-    lambda_one: Numeric
-    lambda_S: Numeric
-    lambda_I: Numeric
-    mult_one: int
-    mult_S: int
-    mult_I: int
-    det_m11_factor_big: Numeric
-    det_m11_factor_small: Numeric
-
-
-@dataclass(frozen=True)
-class InverseCoefficients:
-    """Scalars defining the inverse information matrix in the symmetric case.
-
-    The inverse keeps the chess-board shape: intercept entry c0, intercept
-    to interaction entries -c2, main-effect block with two distinct entries,
-    and interaction block (I - delta_S S S^T - delta_J J) / lambda_I.
-    """
-
-    c0: Numeric
-    c2: Numeric
-    delta_S: Numeric
-    delta_J: Numeric
-    m11_inv_diag: Numeric
-    m11_inv_offdiag: Numeric
+    name: str
+    matrix: tuple[tuple[Numeric, ...], ...]
+    mult: int
 
 
 @dataclass(frozen=True)
@@ -147,113 +130,140 @@ def assemble_general(k_factors: int, m: MomentSet, *, exact: bool = False) -> In
     otherwise float64.
     """
     dims = model_dims(k_factors)
-    K, p, n_inter = dims.k_factors, dims.p, dims.n_inter
-    pairs = interaction_pairs(K)
+    K, n = dims.k_factors, dims.n_inter
+    kind = object if exact else np.float64
+    one, m1, m2, m3, m4 = (Fraction(v) if exact else float(v) for v in (1, m.m1, m.m2, m.m3, m.m4))
+    s = build_s_matrix(K).astype(kind)
 
-    if exact:
-        m1, m2, m3, m4 = (Fraction(v) for v in (m.m1, m.m2, m.m3, m.m4))
-        dense = np.empty((p, p), dtype=object)
-    else:
-        m1, m2, m3, m4 = (float(v) for v in (m.m1, m.m2, m.m3, m.m4))
-        dense = np.empty((p, p), dtype=np.float64)
+    def full(rows: int, cols: int, value: Numeric) -> np.ndarray:
+        return np.full((rows, cols), value, dtype=kind)
 
-    one = Fraction(1) if exact else 1.0
-    dense[0, 0] = one
-    dense[0, 1 : K + 1] = m1
-    dense[1 : K + 1, 0] = m1
-    dense[0, K + 1 :] = m2
-    dense[K + 1 :, 0] = m2
-
-    # Main-effect block: (1 - m2) I + m2 J.
-    for i in range(K):
-        for j in range(K):
-            dense[1 + i, 1 + j] = one if i == j else m2
-
-    # Main effect vs interaction: m1 when the factor is in the pair, m3 otherwise.
-    for col, (a, b) in enumerate(pairs):
-        for i in range(K):
-            value = m1 if i in (a, b) else m3
-            dense[1 + i, K + 1 + col] = value
-            dense[K + 1 + col, 1 + i] = value
-
-    # Interaction block: 1 on the diagonal, m2 for pairs sharing a factor, m4 otherwise.
-    for r in range(n_inter):
-        a, b = pairs[r]
-        for c in range(r, n_inter):
-            if r == c:
-                value = one
-            else:
-                x, y = pairs[c]
-                shared = len({a, b} & {x, y})
-                value = m2 if shared == 1 else m4
-            dense[K + 1 + r, K + 1 + c] = value
-            dense[K + 1 + c, K + 1 + r] = value
-
+    dense = np.block([
+        [full(1, 1, one), full(1, K, m1), full(1, n, m2)],
+        [full(K, 1, m1), (one - m2) * np.eye(K, dtype=kind) + m2, (m1 - m3) * s.T + m3],
+        [
+            full(n, 1, m2),
+            (m1 - m3) * s + m3,
+            (one - 2 * m2 + m4) * np.eye(n, dtype=kind) + (m2 - m4) * (s @ s.T) + m4,
+        ],
+    ])
     return InfoMatrix(dims, dense, m)
 
 
-def _require_symmetric(m: MomentSet) -> None:
-    if not m.is_symmetric():
-        raise OrbitDesignError(
-            "odd moments are nonzero; the block formulas hold only for "
-            "sign-symmetric designs"
-        )
+def information_blocks(
+    k_factors: int, m1: Numeric, m2: Numeric, m3: Numeric, m4: Numeric, one: Numeric = 1
+) -> tuple[Block, ...]:
+    """The blocks A, B, lambda_I of the information matrix with moments m1..m4.
 
-
-def block_eigenvalues(k_factors: int, m: MomentSet) -> BlockEigenvalues:
-    """Scalar eigenvalues of the reduced interaction block for symmetric moments."""
-    _require_symmetric(m)
+    The blocks are affine in the moments: one=0 drops the constant part,
+    which gives the blocks of the derivative of M along the moments, and
+    scaling the moments and one by D gives the blocks of D M.
+    """
     K = k_factors
-    m2, m4 = m.m2, m.m4
-    dims = model_dims(K)
-    lambda_one = (
-        1
-        + 2 * (K - 2) * m2
-        + (K - 2) * (K - 3) * m4 / 2
-        - K * (K - 1) * m2 * m2 / 2
+    n = math.comb(K, 2)
+    a = (
+        (one, K * m1, n * m2),
+        (m1, one + (K - 1) * m2, (K - 1) * m1 + math.comb(K - 1, 2) * m3),
+        (m2, 2 * m1 + (K - 2) * m3, one + 2 * (K - 2) * m2 + math.comb(K - 2, 2) * m4),
     )
-    lambda_s = 1 + (K - 4) * m2 - (K - 3) * m4
-    lambda_i = 1 - 2 * m2 + m4
-    return BlockEigenvalues(
-        lambda_one=lambda_one,
-        lambda_S=lambda_s,
-        lambda_I=lambda_i,
-        mult_one=1,
-        mult_S=K - 1,
-        mult_I=dims.n_inter - K,
-        det_m11_factor_big=1 + (K - 1) * m2,
-        det_m11_factor_small=1 - m2,
+    if K == 2:
+        return (Block("A", a, 1), Block("B", ((one - m2,),), 1))
+    b = (
+        (one - m2, (K - 2) * (m1 - m3)),
+        (m1 - m3, one + (K - 4) * m2 - (K - 3) * m4),
     )
+    blocks = (Block("A", a, 1), Block("B", b, K - 1))
+    if K == 3:
+        return blocks
+    return blocks + (Block("lambda_I", ((one - 2 * m2 + m4,),), n - K),)
 
 
-def _is_nonpositive(value: Numeric) -> bool:
-    return value <= SINGULARITY_TOL * (1 + abs(value))
+@lru_cache(maxsize=None)
+def moment_direction(k_factors: int, j: int) -> tuple[int, ...]:
+    """dM/dm_j for j = 1..4, and the identity for j = 0, in the layout of
+    block_trace: its transposed blocks flattened and weighted by multiplicity."""
+    unit = [int(i == j) for i in range(5)]
+    blocks = information_blocks(k_factors, *unit[1:], one=unit[0])
+    return tuple(block.mult * v for block in blocks for col in zip(*block.matrix) for v in col)
 
 
-def _det_factors(k_factors: int, m: MomentSet) -> list[tuple[str, Numeric, int]]:
-    ev = block_eigenvalues(k_factors, m)
-    factors = [
-        ("M11", ev.det_m11_factor_big, 1),
-        ("M11", ev.det_m11_factor_small, k_factors - 1),
-        ("lambda_one", ev.lambda_one, ev.mult_one),
-    ]
-    if k_factors == 2:
-        # lambda_S and lambda_I coincide and their exponents (1 and -1)
-        # cancel; the single interaction contributes through lambda_one only.
-        return factors
-    factors.append(("lambda_S", ev.lambda_S, ev.mult_S))
-    if ev.mult_I > 0:
-        factors.append(("lambda_I", ev.lambda_I, ev.mult_I))
-    return factors
+def block_trace(inverse: tuple[Block, ...], direction: tuple[int, ...]) -> Numeric:
+    """tr(M^-1 D) from the blocks of M^-1 and a direction D from moment_direction.
+
+    Exact inverses are brought to a common denominator first, so the sum
+    runs in integers and costs a single division.
+    """
+    scale, flat = common_scale([x for block in inverse for row in block.matrix for x in row])
+    return _ratio(sum(map(mul, flat, direction)), scale)
+
+
+def _adjugate(a: tuple[tuple[Numeric, ...], ...]):
+    """Adjugate and determinant of a 1x1, 2x2 or 3x3 matrix."""
+    if len(a) == 1:
+        return ((1,),), a[0][0]
+    if len(a) == 2:
+        (a00, a01), (a10, a11) = a
+        return ((a11, -a01), (-a10, a00)), a00 * a11 - a01 * a10
+    (a00, a01, a02), (a10, a11, a12), (a20, a21, a22) = a
+    c00, c10, c20 = a11 * a22 - a12 * a21, a12 * a20 - a10 * a22, a10 * a21 - a11 * a20
+    adjugate = (
+        (c00, a02 * a21 - a01 * a22, a01 * a12 - a02 * a11),
+        (c10, a00 * a22 - a02 * a20, a02 * a10 - a00 * a12),
+        (c20, a01 * a20 - a00 * a21, a00 * a11 - a01 * a10),
+    )
+    return adjugate, a00 * c00 + a01 * c10 + a02 * c20
+
+
+def common_scale(values) -> tuple[Numeric, list]:
+    """A scale D and D * values: integers over the common denominator of
+    exact values, or D = 1.0 and the values themselves if any is a float."""
+    if any(isinstance(v, float) for v in values):
+        return 1.0, list(values)
+    scale = math.lcm(*(v.denominator for v in values))
+    return scale, [v.numerator * (scale // v.denominator) for v in values]
+
+
+def _ratio(numerator: Numeric, denominator: Numeric) -> Numeric:
+    """numerator / denominator, as an exact Fraction for integers."""
+    if isinstance(denominator, int):
+        return Fraction(numerator, denominator)
+    return numerator / denominator
+
+
+def _factored_blocks(k_factors: int, m: MomentSet):
+    """A scale D and (block, adjugate, det) for each block of D M.
+
+    For exact moments D is their common denominator and all entries are
+    integers, so the block algebra runs in integer arithmetic.  det is 0
+    for a singular block.
+    """
+    scale, moments = common_scale((m.m1, m.m2, m.m3, m.m4))
+    factored = []
+    for block in information_blocks(k_factors, *moments, one=scale):
+        adjugate, det = _adjugate(block.matrix)
+        # A float determinant this close to zero (relative to its size)
+        # counts as singular; integer ones are exact.
+        if det <= (0 if isinstance(det, int) else SINGULARITY_TOL * (1 + abs(det))):
+            det = 0
+        factored.append((block, adjugate, det))
+    return scale, factored
+
+
+def _singular(block: Block) -> SingularDesignError:
+    return SingularDesignError(f"information matrix is singular (block {block.name})")
 
 
 def log_det_symmetric(k_factors: int, m: MomentSet) -> float:
-    """log det of the information matrix; -inf (not an exception) when singular."""
+    """log det of the information matrix; -inf (not an exception) when singular.
+
+    Holds for any invariant moments, symmetric or not.
+    """
+    scale, factored = _factored_blocks(k_factors, m)
     total = 0.0
-    for _, value, exponent in _det_factors(k_factors, m):
-        if _is_nonpositive(value):
+    for block, _, det in factored:
+        if not det:
             return -math.inf
-        total += exponent * math.log(float(value))
+        total += block.mult * math.log(det / scale ** len(block.matrix))
     return total
 
 
@@ -263,7 +273,9 @@ def regularity(design: OrbitDesign, k_factors: int | None = None) -> RegularityR
     The matrix is nonsingular exactly when the design touches at least two
     distinct symmetric orbits and, for K >= 4, some supported orbit is
     strictly between the extremes (0 < k < K/2, keeps lambda_S positive) and
-    some supported orbit has k > 1 (keeps lambda_I positive).
+    some supported orbit has k > 1 (keeps lambda_I positive).  lambda_one
+    and M11 = 1 + (K-1) m2 are the factors of det A, lambda_S and 1 - m2
+    those of det B for symmetric moments.
     """
     if not design.symmetric:
         raise OrbitDesignError("regularity classification applies to symmetric designs")
@@ -282,60 +294,52 @@ def regularity(design: OrbitDesign, k_factors: int | None = None) -> RegularityR
     return RegularityReport(not failing, tuple(failing), support)
 
 
-def inverse_coefficients(k_factors: int, m: MomentSet) -> InverseCoefficients:
-    """Scalars of the structured inverse; raises SingularDesignError when det <= 0."""
-    _require_symmetric(m)
-    K = k_factors
-    for name, value, _ in _det_factors(K, m):
-        if _is_nonpositive(value):
-            raise SingularDesignError(
-                f"information matrix is singular ({name} = {float(value):.3g})"
-            )
-    m2, m4 = m.m2, m.m4
-    # Denominator of c2 is twice lambda_one; delta_J divides by twice the
-    # interaction block's all-ones eigenvalue (no m2^2 term).
-    c2_den = 2 + 4 * (K - 2) * m2 + (K - 2) * (K - 3) * m4 - K * (K - 1) * m2 * m2
-    c2 = 2 * m2 / c2_den
-    c0 = 1 + c2 * math.comb(K, 2) * m2
-    lambda_s = 1 + (K - 4) * m2 - (K - 3) * m4
-    lambda_i = 1 - 2 * m2 + m4
-    delta_s = (m2 - m4) / lambda_s
-    delta_j_den = 2 + 4 * (K - 2) * m2 + (K - 2) * (K - 3) * m4
-    delta_j = (
-        2 * m4 - 4 * delta_s * ((K - 3) * m4 + 2 * m2) - 2 * c2 * m2 * lambda_i
-    ) / delta_j_den
-    m11_den = (1 - m2) * (1 + (K - 1) * m2)
-    return InverseCoefficients(
-        c0=c0,
-        c2=c2,
-        delta_S=delta_s,
-        delta_J=delta_j,
-        m11_inv_diag=(1 + (K - 2) * m2) / m11_den,
-        m11_inv_offdiag=-m2 / m11_den,
-    )
+def inverse_coefficients(k_factors: int, m: MomentSet) -> tuple[Block, ...]:
+    """Blocks of M^-1, the inverses of the blocks of M (exact for exact moments).
+
+    Raises SingularDesignError naming the first block whose determinant vanishes.
+    """
+    scale, factored = _factored_blocks(k_factors, m)
+    inverse = []
+    for block, adjugate, det in factored:
+        if not det:
+            raise _singular(block)
+        matrix = tuple(tuple(_ratio(scale * x, det) for x in row) for row in adjugate)
+        inverse.append(block._replace(matrix=matrix))
+    return tuple(inverse)
+
+
+def log_det_derivatives(
+    k_factors: int, m: MomentSet, dm: tuple[Numeric, Numeric, Numeric, Numeric]
+) -> tuple[float, float]:
+    """First and second derivative of log det M along the moment direction dm.
+
+    They are tr(M^-1 dM) and -tr((M^-1 dM)^2), taken block by block with
+    M^-1 = D adj(D M) / det(D M).  For exact arguments every block term is
+    exact until its final rounding to float.
+    """
+    scale, factored = _factored_blocks(k_factors, m)
+    dscale, dmoments = common_scale(dm)
+    first = second = 0.0
+    for (block, adjugate, det), d in zip(factored, information_blocks(k_factors, *dmoments, one=0)):
+        if not det:
+            raise _singular(block)
+        columns = tuple(zip(*d.matrix))
+        y = [[sum(map(mul, row, col)) for col in columns] for row in adjugate]
+        trace = sum(y[i][i] for i in range(len(y)))
+        trace_sq = sum(map(mul, chain(*y), chain(*zip(*y))))
+        first += block.mult * (scale * trace / (dscale * det))
+        second -= block.mult * (scale * scale * trace_sq / (dscale * det) ** 2)
+    return first, second
 
 
 def assemble_inverse(k_factors: int, m: MomentSet) -> np.ndarray:
-    """Dense float inverse of the information matrix (symmetric case)."""
-    coeffs = inverse_coefficients(k_factors, m)
-    dims = model_dims(k_factors)
-    K, p, n_inter = dims.k_factors, dims.p, dims.n_inter
-    inv = np.zeros((p, p))
-    inv[0, 0] = float(coeffs.c0)
-    inv[0, K + 1 :] = -float(coeffs.c2)
-    inv[K + 1 :, 0] = -float(coeffs.c2)
-    main = np.full((K, K), float(coeffs.m11_inv_offdiag))
-    np.fill_diagonal(main, float(coeffs.m11_inv_diag))
-    inv[1 : K + 1, 1 : K + 1] = main
-    s = build_s_matrix(K).astype(np.float64)
-    lambda_i = float(1 - 2 * m.m2 + m.m4)
-    block = (
-        np.eye(n_inter)
-        - float(coeffs.delta_S) * (s @ s.T)
-        - float(coeffs.delta_J) * np.ones((n_inter, n_inter))
-    ) / lambda_i
-    inv[K + 1 :, K + 1 :] = block
-    return inv
+    """Dense float inverse of the information matrix (oracle for the blocks).
+
+    Raises SingularDesignError like inverse_coefficients.
+    """
+    inverse_coefficients(k_factors, m)
+    return np.linalg.inv(assemble_general(k_factors, m.as_floats()).dense)
 
 
 def info_matrix_of(design: OrbitDesign, *, exact: bool = False) -> InfoMatrix:

@@ -45,7 +45,7 @@ class MomentSet:
         for name in ("m1", "m2", "m3", "m4"):
             value = getattr(self, name)
             # Small slack: float mixing can overshoot the exact bound by ulps.
-            if not -1 - 1e-9 <= value <= 1 + 1e-9:
+            if not abs(float(value)) <= 1 + 1e-9:
                 raise OrbitDesignError(f"moment {name}={value} outside [-1, 1]")
 
     def is_symmetric(self) -> bool:
@@ -63,23 +63,30 @@ def _check_args(k_factors: int, k: int, j: int) -> None:
         raise OrbitDesignError(f"moment order must be in 1..4, got {j}")
 
 
+def moment_polynomial(k_factors: int, j: int) -> tuple[tuple[int, ...], int]:
+    """The closed form of m_j as a polynomial in t = 2k - K: integer
+    coefficients c_0..c_j and a denominator d, m_j = sum_i c_i t^i / d."""
+    K = k_factors
+    if j > K:
+        return (0,) * (j + 1), 1
+    if j == 1:
+        return (0, 1), K
+    if j == 2:
+        return (-K, 0, 1), K * (K - 1)
+    if j == 3:
+        return (0, -(3 * K - 2), 0, 1), K * (K - 1) * (K - 2)
+    return (3 * K * (K - 2), 0, -(6 * K - 8), 0, 1), K * (K - 1) * (K - 2) * (K - 3)
+
+
 def orbit_moment(k_factors: int, k: int, j: int) -> Fraction:
     """Exact j-th moment of the uniform design on orbit k (closed form)."""
     _check_args(k_factors, k, j)
-    K = k_factors
-    if j > K:
-        return Fraction(0)
-    t = 2 * k - K
-    if j == 1:
-        return Fraction(t, K)
-    if j == 2:
-        return Fraction(t * t - K, K * (K - 1))
-    if j == 3:
-        return Fraction(t**3 - (3 * K - 2) * t, K * (K - 1) * (K - 2))
-    return Fraction(
-        t**4 - (6 * K - 8) * t * t + 3 * K * (K - 2),
-        K * (K - 1) * (K - 2) * (K - 3),
-    )
+    coeffs, denom = moment_polynomial(k_factors, j)
+    t = 2 * k - k_factors
+    numerator = 0
+    for c in reversed(coeffs):
+        numerator = numerator * t + c
+    return Fraction(numerator, denom)
 
 
 def orbit_moment_sum(k_factors: int, k: int, j: int) -> Fraction:
@@ -101,23 +108,21 @@ def orbit_moment_sum(k_factors: int, k: int, j: int) -> Fraction:
 
 
 def design_moments(design: OrbitDesign) -> MomentSet:
-    """Moments of an invariant design: weight-linear mixture of orbit moments.
+    """Exact moments of an invariant design: weight-linear mixture of orbit moments.
 
-    Structurally symmetric designs get exact zero odd moments instead of a
-    sum of cancelling mirror terms.
+    Float weights enter as the binary rationals they are, rescaled to sum
+    to exactly 1, so the moments, and every certificate computed from them,
+    are exact for the design as stored.  Structurally symmetric designs get
+    exact zero odd moments instead of a sum of cancelling mirror terms.
     """
     K = design.k_factors
-    weights = design.weights()
-    exact = all(isinstance(w, (Fraction, int)) for w in weights.values())
-    zero: Numeric = Fraction(0) if exact else 0.0
+    weights = {k: Fraction(w) for k, w in design.weights().items()}
+    total = sum(weights.values())
 
-    def mix(j: int) -> Numeric:
-        total = sum((w * orbit_moment(K, k, j) for k, w in weights.items()), zero)
-        if isinstance(total, float):
-            # Roundoff can push a convex combination past the exact bound.
-            total = min(1.0, max(-1.0, total))
-        return total
+    def mix(j: int) -> Fraction:
+        moment = sum(w * orbit_moment(K, k, j) for k, w in weights.items())
+        return moment if total == 1 else moment / total
 
     if design.symmetric:
-        return MomentSet(zero, mix(2), zero, mix(4))
+        return MomentSet(Fraction(0), mix(2), Fraction(0), mix(4))
     return MomentSet(mix(1), mix(2), mix(3), mix(4))

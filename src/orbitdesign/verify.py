@@ -2,15 +2,20 @@
 
 A design maximizes the information determinant over a region exactly when
 its sensitivity function psi(x) = f(x)^T M^-1 f(x) stays below the
-parameter count p everywhere on the region.  For sign-symmetric invariant
-designs psi is constant on orbits and, as a function of t = 2k - K, an even
-quartic
+parameter count p everywhere on the region.  For invariant designs psi is
+constant on orbits, the average of f f^T over orbit k is the information
+matrix M(k) of the uniform design on that orbit, and M(k) is affine in the
+orbit moments m_j(k), so
 
-    psi_tilde(k) = a4 t^4 + a2 t^2 + a0,
+    psi(k) = tr(M^-1 M(k)) = g_0 + sum_j g_j m_j(k),
+    g_0 = tr(M^-1),  g_j = tr(M^-1 dM/dm_j),
 
-whose coefficients follow from the structured inverse and the identities
-x^T x = K, xt^T xt = K(K-1)/2, x^T 1 = t, xt^T 1 = (t^2 - K)/2 and
-xt^T S S^T xt = (K-2) t^2 + K (xt the vector of coordinate products).
+each trace taken block by block (see info_matrix).  The orbit moments are
+polynomials in t = 2k - K; for sign-symmetric designs g_1 = g_3 = 0 and psi
+is the even quartic
+
+    psi_tilde(k) = a4 t^4 + a2 t^2 + a0.
+
 Checking optimality on a region therefore reduces to a finite maximum of a
 quartic over the admitted orbit indices.
 
@@ -32,13 +37,16 @@ import numpy as np
 from .exceptions import OrbitDesignError, SingularDesignError
 from .info_matrix import (
     InfoMatrix,
+    block_trace,
+    common_scale,
     inverse_coefficients,
     interaction_pairs,
     log_det_symmetric,
     model_dims,
+    moment_direction,
     regularity,
 )
-from .moments import MomentSet, design_moments
+from .moments import MomentSet, design_moments, moment_polynomial
 from .orbits import OrbitDesign, enumerate_orbit, orbit_size
 
 Numeric = Union[Fraction, float, int]
@@ -85,33 +93,24 @@ def sensitivity_poly(k_factors: int, m: MomentSet) -> SensitivityPoly:
     """Coefficients of the orbitwise sensitivity quartic for symmetric moments.
 
     Exact rational when the moments are exact.  Raises SingularDesignError
-    for singular moments.
+    for singular moments and OrbitDesignError for nonzero odd moments.
     """
+    if not m.is_symmetric():
+        raise OrbitDesignError(
+            "odd moments are nonzero; the even sensitivity quartic holds only "
+            "for sign-symmetric designs"
+        )
     K = k_factors
-    coeffs = inverse_coefficients(K, m)
-    m2, m4 = m.m2, m.m4
-    lam_i = 1 - 2 * m2 + m4
-    c0, c2 = coeffs.c0, coeffs.c2
-    d_s, d_j = coeffs.delta_S, coeffs.delta_J
-
-    a4 = -d_j / (4 * lam_i)
-    a2 = -(
-        c2
-        + m2 / ((1 - m2) * (1 + (K - 1) * m2))
-        + d_s * (K - 2) / lam_i
-        - d_j * K / (2 * lam_i)
-    )
-    # The c2*K term comes from expanding the intercept/interaction coupling
-    # -2 c2 (t^2 - K)/2 = -c2 t^2 + c2 K.
-    a0 = (
-        c0
-        + c2 * K
-        + K / (1 - m2)
-        + K * (K - 1) / (2 * lam_i)
-        - d_s * K / lam_i
-        - d_j * K * K / (4 * lam_i)
-    )
-    return SensitivityPoly(K, a0, a2, a4)
+    inverse = inverse_coefficients(K, m)
+    g0 = block_trace(inverse, moment_direction(K, 0))
+    coeffs = [g0] + [g0 * 0] * 4
+    for j in (2, 4):
+        numer, denom = moment_polynomial(K, j)
+        g = block_trace(inverse, moment_direction(K, j)) / denom
+        for i, c in enumerate(numer):
+            if c:
+                coeffs[i] += g * c
+    return SensitivityPoly(K, coeffs[0], coeffs[2], coeffs[4])
 
 
 def kw_check(
@@ -123,12 +122,18 @@ def kw_check(
     """Equivalence-theorem check of a symmetric design over orbits lower..upper.
 
     Passing certifies D-optimality among all designs supported on the
-    region.  The design must be regular; singular designs raise
+    region.  The design must be supported inside the region (otherwise
+    OrbitDesignError) and regular; singular designs raise
     SingularDesignError with the failing block named.
     """
     K = design.k_factors
     if not 0 <= lower <= upper <= K:
         raise OrbitDesignError(f"invalid orbit range [{lower}, {upper}] for K={K}")
+    outside = [k for k in design.support() if not lower <= k <= upper]
+    if outside:
+        raise OrbitDesignError(
+            f"design puts weight on orbits {outside} outside the region [{lower}, {upper}]"
+        )
     report = regularity(design)
     if not report.regular:
         raise SingularDesignError(report.message())
@@ -136,16 +141,18 @@ def kw_check(
     poly = sensitivity_poly(K, m)
     p = model_dims(K).p
 
+    # The moments are exact, so the quartic is: over a common denominator
+    # the scan runs in integers and rounds once per reported value.
+    scale, (a0, a2, a4) = common_scale((poly.a0, poly.a2, poly.a4))
     per_orbit: dict[int, float] = {}
-    max_violation = -math.inf
     argmax = lower
     for k in range(lower, upper + 1):
-        value = poly.value(k)
-        violation = float(value - p)
-        per_orbit[k] = float(value)
-        if violation > max_violation:
-            max_violation = violation
-            argmax = k
+        t2 = (2 * k - K) ** 2
+        value = a4 * t2 * t2 + a2 * t2 + a0
+        per_orbit[k] = value / scale
+        if k == lower or value > top:
+            top, argmax = value, k
+    max_violation = (top - p * scale) / scale
     return KwReport(max_violation <= tol, max_violation, argmax, per_orbit, p, tol)
 
 

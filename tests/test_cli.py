@@ -3,11 +3,14 @@
 from __future__ import annotations
 
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import orbitdesign
 from orbitdesign.cli import main
 
 from reference_tables import NARROW_ROWS, WIDE_ROWS
@@ -80,6 +83,14 @@ class TestOptimal:
         assert code == 0
         rows = [line.split() for line in out.splitlines() if line.strip() and line.split()[0].isdigit()]
         assert [r[0] for r in rows] == ["1", "3", "5"]
+
+    def test_asymmetric_wide_explicit_ell(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "optimal", "--k", "12", "--lower", "3", "--upper", "10", "--ell", "4"
+        )
+        assert code == 0
+        assert "regime: wide" in out
+        assert "0.15000000" in out and "0.03750000" in out and "0.62500000" in out
 
     def test_asymmetric_narrow_unsupported(self, capsys):
         code, _, err = run_cli(
@@ -206,6 +217,15 @@ class TestVerify:
         assert code == 3
         assert "singular" in err
 
+    def test_region_override_must_contain_support(self, capsys, tmp_path):
+        path = str(tmp_path / "ff.json")
+        code, _, _ = run_cli(capsys, "optimal", "--k", "6", "--lower", "0", "--json", path)
+        assert code == 0
+        code, out, err = run_cli(capsys, "verify", path, "--lower", "2", "--upper", "4")
+        assert code == 2
+        assert "PASS" not in out
+        assert "outside the region [2, 4]" in err
+
     def test_region_override(self, capsys, tmp_path):
         # Optimal on [2, 4] but not on the full cube: overriding the region
         # must flip the verdict.
@@ -323,20 +343,24 @@ class TestExpand:
         assert "--k" in err
 
 
+def run_module(*argv):
+    """`python -m orbitdesign ...` in a child that imports the package under test."""
+    src = str(Path(orbitdesign.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-m", "orbitdesign", *argv],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": path},
+    )
+
+
 class TestEntryPoints:
     def test_module_invocation(self):
-        proc = subprocess.run(
-            [sys.executable, "-m", "orbitdesign", "tables", "--which", "narrow", "--k", "6"],
-            capture_output=True,
-            text=True,
-        )
+        proc = run_module("tables", "--which", "narrow", "--k", "6")
         assert proc.returncode == 0
         assert "0.3865" in proc.stdout
 
     def test_usage_error_exit_code(self):
-        proc = subprocess.run(
-            [sys.executable, "-m", "orbitdesign", "optimal"],
-            capture_output=True,
-            text=True,
-        )
+        proc = run_module("optimal")
         assert proc.returncode == 2

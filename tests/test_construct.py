@@ -234,6 +234,12 @@ class TestCertification:
             # Identity information: the sensitivity is flat at p everywhere.
             assert report.max_violation <= 1e-9
 
+    def test_narrow_designs_certify_at_large_k(self):
+        # Regions whose float certificates used to exceed the 1e-9 tolerance.
+        for k_factors, lower in ((76, 37), (80, 39), (92, 45), (94, 46), (100, 49)):
+            report = narrow_design(k_factors, lower).kw_report
+            assert report.passed and abs(report.max_violation) <= 1e-10
+
     def test_narrow_designs_flat_on_support(self):
         for k_factors, lower in ((6, 2), (10, 4), (13, 5)):
             spec = narrow_design(k_factors, lower)

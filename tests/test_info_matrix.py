@@ -16,7 +16,6 @@ from orbitdesign import (
     SingularDesignError,
     assemble_general,
     assemble_inverse,
-    block_eigenvalues,
     brute_force_info,
     build_s_matrix,
     design_moments,
@@ -26,6 +25,7 @@ from orbitdesign import (
     orbit_moment,
     regularity,
 )
+from orbitdesign.info_matrix import information_blocks
 
 from conftest import random_symmetric_designs, symmetric_design
 
@@ -41,6 +41,50 @@ S6_TRANSPOSED = [
 ]
 
 ZERO_MOMENTS = MomentSet(0, 0, 0, 0)
+
+
+def blocks_of(k_factors, m):
+    return information_blocks(k_factors, m.m1, m.m2, m.m3, m.m4)
+
+
+def block_spectrum(blocks):
+    """Sorted eigenvalues of the invariant matrix with these blocks, each
+    block's eigenvalues repeated by its multiplicity."""
+    values = []
+    for block in blocks:
+        matrix = np.array(block.matrix, dtype=np.float64)
+        values += list(np.linalg.eigvals(matrix).real) * block.mult
+    return np.sort(values)
+
+
+def random_asymmetric_designs(k_factors, count, seed):
+    """Full-support designs with independent weights on every orbit."""
+    rng = np.random.default_rng(seed)
+    return [
+        OrbitDesign(k_factors, dict(enumerate(rng.dirichlet(np.ones(k_factors + 1)))))
+        for _ in range(count)
+    ]
+
+
+def exact_det(matrix):
+    """Laplace expansion along the first row, exact for rational entries."""
+    if len(matrix) == 1:
+        return matrix[0][0]
+    return sum(
+        (-1) ** j * matrix[0][j] * exact_det([row[:j] + row[j + 1 :] for row in matrix[1:]])
+        for j in range(len(matrix))
+    )
+
+
+def exact_identity_blocks(blocks):
+    return all(
+        all(
+            sum(a * b for a, b in zip(row, col)) == (i == j)
+            for j, col in enumerate(zip(*inverse.matrix))
+        )
+        for block, inverse in blocks
+        for i, row in enumerate(block.matrix)
+    )
 
 
 class TestModelDims:
@@ -111,42 +155,45 @@ class TestAssembleGeneral:
 
 class TestBlockEigenvalues:
     def test_identity_case(self):
-        ev = block_eigenvalues(6, ZERO_MOMENTS)
-        assert (ev.lambda_one, ev.lambda_S, ev.lambda_I) == (1, 1, 1)
-        assert ev.mult_one + ev.mult_S + ev.mult_I == 15
+        blocks = blocks_of(6, ZERO_MOMENTS)
+        assert [b.matrix for b in blocks] == [
+            ((1, 0, 0), (0, 1, 0), (0, 0, 1)),
+            ((1, 0), (0, 1)),
+            ((1,),),
+        ]
+        assert sum(len(b.matrix) * b.mult for b in blocks) == model_dims(6).p
 
     def test_single_symmetric_orbit_zeroes_lambda_one(self):
+        # det A = (1 + (K-1) m2) * lambda_one, and lambda_one vanishes.
         d = OrbitDesign(6, {2: Fraction(1, 2)}, symmetric=True)
-        ev = block_eigenvalues(6, design_moments(d))
-        assert ev.lambda_one == 0
+        a, b, lambda_i = blocks_of(6, design_moments(d))
+        assert exact_det(a.matrix) == 0
+        assert exact_det(b.matrix) != 0 and exact_det(lambda_i.matrix) != 0
 
     def test_central_orbit_zeroes_lambda_s(self):
+        # det B = (1 - m2) * lambda_S, and lambda_S vanishes.
         d = OrbitDesign(6, {3: Fraction(1)}, symmetric=True)
-        ev = block_eigenvalues(6, design_moments(d))
-        assert ev.lambda_S == 0
-
-    def test_rejects_asymmetric_moments(self):
-        with pytest.raises(OrbitDesignError):
-            block_eigenvalues(6, MomentSet(Fraction(1, 3), 0, 0, 0))
+        assert exact_det(blocks_of(6, design_moments(d))[1].matrix) == 0
 
     def test_multiplicities_against_dense_eigenvalues(self):
-        for k_factors in range(4, 9):
-            for d in random_symmetric_designs(k_factors, 4, seed=100 + k_factors):
+        for k_factors in range(2, 11):
+            designs = random_symmetric_designs(k_factors, 4, seed=100 + k_factors)
+            designs += random_asymmetric_designs(k_factors, 3, seed=150 + k_factors)
+            for d in designs:
                 m = design_moments(d)
-                ev = block_eigenvalues(k_factors, m)
-                info = assemble_general(k_factors, m)
-                block = info.dense[k_factors + 1 :, k_factors + 1 :] - float(
-                    m.m2
-                ) ** 2 * np.ones((info.dims.n_inter, info.dims.n_inter))
-                dense = np.sort(np.linalg.eigvalsh(block))
-                structured = np.sort(
-                    np.array(
-                        [float(ev.lambda_one)] * ev.mult_one
-                        + [float(ev.lambda_S)] * ev.mult_S
-                        + [float(ev.lambda_I)] * ev.mult_I
-                    )
-                )
-                assert np.abs(dense - structured).max() <= 1e-8
+                dense = np.linalg.eigvalsh(assemble_general(k_factors, m).dense)
+                structured = block_spectrum(blocks_of(k_factors, m))
+                assert len(structured) == model_dims(k_factors).p
+                assert np.abs(np.sort(dense) - structured).max() <= 1e-8, k_factors
+
+    def test_edge_case_block_shapes(self):
+        assert [(len(b.matrix), b.mult) for b in blocks_of(2, ZERO_MOMENTS)] == [(3, 1), (1, 1)]
+        assert [(len(b.matrix), b.mult) for b in blocks_of(3, ZERO_MOMENTS)] == [(3, 1), (2, 2)]
+        assert [(len(b.matrix), b.mult) for b in blocks_of(7, ZERO_MOMENTS)] == [
+            (3, 1),
+            (2, 6),
+            (1, 14),
+        ]
 
 
 class TestLogDet:
@@ -177,6 +224,17 @@ class TestLogDet:
     def test_singular_design_gives_neg_inf(self):
         d = OrbitDesign(6, {3: Fraction(1)}, symmetric=True)
         assert log_det_symmetric(6, design_moments(d)) == -math.inf
+
+    def test_asymmetric_moments_against_dense_determinant(self):
+        for k_factors in range(2, 11):
+            for d in random_asymmetric_designs(k_factors, 4, seed=250 + k_factors):
+                m = design_moments(d)
+                assert not m.is_symmetric()
+                sign, dense_ld = np.linalg.slogdet(assemble_general(k_factors, m).dense)
+                assert sign > 0
+                ld = log_det_symmetric(k_factors, m)
+                assert abs(ld - dense_ld) <= 1e-10 * max(1.0, abs(dense_ld))
+                assert log_det_symmetric(k_factors, m.as_floats()) == pytest.approx(ld, rel=1e-10)
 
 
 class TestRegularity:
@@ -218,10 +276,9 @@ class TestRegularity:
 
 class TestInverse:
     def test_identity_coefficients(self):
-        coeffs = inverse_coefficients(6, ZERO_MOMENTS)
-        assert (coeffs.c0, coeffs.c2) == (1, 0)
-        assert (coeffs.delta_S, coeffs.delta_J) == (0, 0)
-        assert (coeffs.m11_inv_diag, coeffs.m11_inv_offdiag) == (1, 0)
+        inverse = inverse_coefficients(6, ZERO_MOMENTS)
+        assert [b.matrix for b in inverse] == [b.matrix for b in blocks_of(6, ZERO_MOMENTS)]
+        assert [b.mult for b in inverse] == [1, 5, 9]
 
     def test_reconstruction_on_reference_designs(self):
         designs = [
@@ -229,34 +286,47 @@ class TestInverse:
             OrbitDesign(8, {2: 0.2282, 4: 1 - 2 * 0.2282}, symmetric=True),
         ]
         for d in designs:
-            m = design_moments(d)
+            m = design_moments(d).as_floats()
+            for block, inverse in zip(blocks_of(d.k_factors, m), inverse_coefficients(d.k_factors, m)):
+                product = np.array(block.matrix) @ np.array(inverse.matrix)
+                assert np.abs(product - np.eye(len(block.matrix))).max() <= 1e-12
             dense = assemble_general(d.k_factors, m).dense
             inv = assemble_inverse(d.k_factors, m)
             p = model_dims(d.k_factors).p
             assert np.abs(dense @ inv - np.eye(p)).max() <= 1e-10
 
     def test_reconstruction_on_random_designs(self):
+        # The spectrum of the dense inverse is that of the block inverses.
         for k_factors in range(2, 11):
-            for d in random_symmetric_designs(k_factors, 4, seed=300 + k_factors):
+            designs = random_symmetric_designs(k_factors, 4, seed=300 + k_factors)
+            designs += random_asymmetric_designs(k_factors, 2, seed=350 + k_factors)
+            for d in designs:
                 m = design_moments(d)
                 if log_det_symmetric(k_factors, m) == -math.inf:
                     continue
-                dense = assemble_general(k_factors, m).dense
-                inv = assemble_inverse(k_factors, m)
-                p = model_dims(k_factors).p
-                assert np.abs(dense @ inv - np.eye(p)).max() <= 1e-10
+                dense = np.linalg.eigvalsh(np.linalg.inv(assemble_general(k_factors, m).dense))
+                structured = block_spectrum(inverse_coefficients(k_factors, m))
+                assert np.abs(np.sort(dense) - structured).max() <= 1e-8 * dense.max()
 
     def test_singular_design_raises(self):
         d = OrbitDesign(6, {3: Fraction(1)}, symmetric=True)
-        with pytest.raises(SingularDesignError):
+        with pytest.raises(SingularDesignError, match="block A"):
+            inverse_coefficients(6, design_moments(d))
+        # Outermost plus central orbit: only lambda_S, a factor of det B, vanishes.
+        d = OrbitDesign(6, {0: Fraction(1, 4), 3: Fraction(1, 2)}, symmetric=True)
+        with pytest.raises(SingularDesignError, match="block B"):
             inverse_coefficients(6, design_moments(d))
 
     def test_exact_inverse_times_matrix_is_identity(self):
-        # With exact moments the coefficient formulas are exact rationals.
-        d = symmetric_design(6, {1: Fraction(1, 3), 2: Fraction(1, 3), 3: Fraction(1, 3)})
-        m = design_moments(d)
-        coeffs = inverse_coefficients(6, m)
-        assert isinstance(coeffs.c2, Fraction)
-        dense = assemble_general(6, m).dense
-        inv = assemble_inverse(6, m)
-        assert np.abs(dense @ inv - np.eye(22)).max() <= 1e-12
+        # With exact moments, symmetric or not, block @ inverse is exactly I.
+        designs = [
+            symmetric_design(6, {1: Fraction(1, 3), 2: Fraction(1, 3), 3: Fraction(1, 3)}),
+            OrbitDesign(5, {1: Fraction(1, 4), 2: Fraction(1, 2), 4: Fraction(1, 4)}),
+            OrbitDesign(3, {0: Fraction(1, 3), 1: Fraction(1, 3), 2: Fraction(1, 3)}),
+            OrbitDesign(2, {0: Fraction(1, 2), 1: Fraction(1, 4), 2: Fraction(1, 4)}),
+        ]
+        for d in designs:
+            m = design_moments(d)
+            inverse = inverse_coefficients(d.k_factors, m)
+            assert all(isinstance(x, Fraction) for b in inverse for row in b.matrix for x in row)
+            assert exact_identity_blocks(zip(blocks_of(d.k_factors, m), inverse))

@@ -120,6 +120,16 @@ class TestDesignMoments:
             ) * enumeration_moment(5, 4, j)
             assert getattr(m, f"m{j}") == expected
 
+    def test_float_weights_give_exact_moments(self):
+        # Float weights are exact binary rationals; their mixture is kept
+        # exact and rescaled to total weight 1.
+        d = OrbitDesign(6, {2: 0.3, 3: 0.4}, symmetric=True)
+        m = design_moments(d)
+        w2, w3 = Fraction(0.3), Fraction(0.4)
+        total = 2 * w2 + w3
+        assert isinstance(m.m2, Fraction) and isinstance(m.m4, Fraction)
+        assert m.m2 == (2 * w2 * orbit_moment(6, 2, 2) + w3 * orbit_moment(6, 3, 2)) / total
+
 
 class TestMomentSet:
     def test_bounds_enforced(self):

@@ -75,6 +75,15 @@ class TestSensitivityPoly:
                         dense_sensitivity(d, k), abs=1e-9
                     )
 
+    def test_exact_design_gives_fraction_coefficients(self):
+        for design in (lemma2_design(6), narrow_design(8, 3).design, full_factorial(3)):
+            poly = sensitivity_poly(design.k_factors, design_moments(design))
+            assert all(isinstance(a, Fraction) for a in (poly.a0, poly.a2, poly.a4))
+
+    def test_odd_moments_rejected(self):
+        with pytest.raises(OrbitDesignError, match="sign-symmetric"):
+            sensitivity_poly(6, MomentSet(Fraction(1, 3), 0, 0, 0))
+
     def test_singular_moments_rejected(self):
         d = OrbitDesign(6, {3: Fraction(1)}, symmetric=True)
         with pytest.raises(SingularDesignError):
@@ -111,6 +120,12 @@ class TestKwCheck:
         design = wide_design(6, 1).design
         with pytest.raises(OrbitDesignError):
             kw_check(design, 4, 2)
+
+    def test_support_outside_region_rejected(self):
+        # The K=6 design for the full cube puts weight on orbits 1, 3 and 5.
+        design = wide_design(6, 0).design
+        with pytest.raises(OrbitDesignError, match=r"orbits \[1, 5\] outside"):
+            kw_check(design, 2, 4)
 
     def test_tolerance_is_a_parameter(self):
         spec = narrow_design(6, 2)
