@@ -2,8 +2,9 @@
 hypercube regions where the number of active factors is bounded from both
 sides.
 
-The library constructs fully efficient designs for wide bounds, optimizes
-the outer-orbit weight for narrow bounds, and certifies optimality through
+``optimal_design(K, lower, upper)`` decides the regime of a region,
+constructs its design -- fully efficient for wide bounds, with an optimized
+outer-orbit weight for narrow bounds -- and certifies optimality through
 the equivalence theorem.  See the command line front end in
 ``orbitdesign.cli`` for the packaged workflows.
 """
@@ -40,12 +41,14 @@ from .info_matrix import (
 )
 from .construct import (
     NarrowDesignSpec,
+    OptimalDesign,
     WideDesignSpec,
-    asymmetric_reduce,
     full_factorial,
     is_integer_threshold,
     lemma2_design,
     narrow_design,
+    optimal_design,
+    regime,
     threshold_b,
     wide_design,
 )
@@ -66,6 +69,7 @@ __all__ = [
     "ModelDims",
     "MomentSet",
     "NarrowDesignSpec",
+    "OptimalDesign",
     "OrbitDesign",
     "OrbitDesignError",
     "Region",
@@ -78,7 +82,6 @@ __all__ = [
     "active_count",
     "assemble_general",
     "assemble_inverse",
-    "asymmetric_reduce",
     "brute_force_info",
     "build_s_matrix",
     "d_efficiency",
@@ -93,10 +96,12 @@ __all__ = [
     "log_det_symmetric",
     "model_dims",
     "narrow_design",
+    "optimal_design",
     "orbit_moment",
     "orbit_moment_sum",
     "orbit_size",
     "point_weight",
+    "regime",
     "regularity",
     "sensitivity_poly",
     "threshold_b",

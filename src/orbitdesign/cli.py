@@ -20,15 +20,15 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
-from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .construct import (
-    _threshold_discriminant,
-    asymmetric_reduce,
+    OptimalDesign,
+    admissible_ells,
     narrow_design,
+    optimal_design,
+    regime,
     threshold_b,
     wide_design,
 )
@@ -37,117 +37,42 @@ from .exceptions import (
     SingularDesignError,
     UnsupportedRegionError,
 )
-from .info_matrix import log_det_symmetric, model_dims
-from .moments import MomentSet, design_moments
 from .orbits import OrbitDesign, Region, enumerate_orbit, orbit_size
-from .verify import KwReport, kw_check
+from .verify import kw_check
 
 EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_SINGULAR = 3
 EXIT_KW_FAIL = 4
 
-SOFT_MAX_K = 22
-
 WIDE_TABLE_K = tuple(range(4, 13)) + (22,)
 NARROW_TABLE_K = tuple(range(4, 23))
 
 
-@dataclass(frozen=True)
-class OrbitRow:
-    k: int
-    orbit_weight: float
-    point_weight: float
-    orbit_size: int
-
-
-@dataclass(frozen=True)
-class DesignReport:
-    """Everything the optimal command prints for one design."""
-
-    k_factors: int
-    lower: int
-    upper: int
-    p: int
-    regime: str
-    orbits: list[OrbitRow]
-    moments: MomentSet
-    log_det: float
-    d_efficiency: float
-    kw_max_violation: float
-    passed: bool
-
-
-def _generate(k_factors: int, lower: int, upper: int, ell: Optional[int]):
-    """Dispatch to the constructor matching the region; returns (design, regime)."""
-    K = k_factors
-    if not Region(K, lower, upper).symmetric():
-        design = asymmetric_reduce(K, lower, upper, ell)
-        return design, _wide_regime_name(K, max(lower, K - upper))
-    if K <= 3:
-        return wide_design(K, lower, None).design, "full-factorial"
-    if (K - 2 * lower) ** 2 >= _threshold_discriminant(K):
-        return wide_design(K, lower, ell).design, _wide_regime_name(K, lower)
-    if ell is not None:
-        raise OrbitDesignError("--ell applies to the wide regime only")
-    return narrow_design(K, lower).design, "narrow"
-
-
-def _wide_regime_name(k_factors: int, lower: int) -> str:
-    if k_factors <= 3:
-        return "full-factorial"
-    threshold = (k_factors - 2 * lower) ** 2 == _threshold_discriminant(k_factors)
-    return "threshold" if threshold else "wide"
-
-
-def _build_report(
-    design: OrbitDesign, lower: int, upper: int, regime: str, tol: float
-) -> DesignReport:
-    K = design.k_factors
-    m = design_moments(design)
-    dims = model_dims(K)
-    ld = log_det_symmetric(K, m)
-    eff = 0.0 if ld == -math.inf else math.exp(ld / dims.p)
-    kw = kw_check(design, lower, upper, tol)
+def _orbit_rows(design: OrbitDesign) -> list[tuple[int, float, float, int]]:
+    """(k, orbit weight, point weight, orbit size) per supported orbit, ascending k."""
     rows = []
     for k, w in sorted(design.weights().items()):
-        size = orbit_size(K, k)
-        rows.append(OrbitRow(k, float(w), float(w) / size, size))
-    return DesignReport(
-        k_factors=K,
-        lower=lower,
-        upper=upper,
-        p=dims.p,
-        regime=regime,
-        orbits=rows,
-        moments=m.as_floats(),
-        log_det=ld,
-        d_efficiency=eff,
-        kw_max_violation=kw.max_violation,
-        passed=kw.passed,
-    )
+        size = orbit_size(design.k_factors, k)
+        rows.append((k, float(w), float(w) / size, size))
+    return rows
 
 
-def _print_report(report: DesignReport, tol: float) -> None:
+def _print_report(result: OptimalDesign) -> None:
+    kw = result.kw_report
     print(
-        f"K = {report.k_factors}  region: {report.lower} <= active <= "
-        f"{report.upper}  p = {report.p}"
+        f"K = {result.k_factors}  region: {result.lower} <= active <= "
+        f"{result.upper}  p = {kw.p}"
     )
-    print(f"regime: {report.regime}")
+    print(f"regime: {result.regime}")
     print(f"{'k':>4} {'orbit_weight':>14} {'point_weight':>14} {'size':>6}")
-    for row in report.orbits:
-        print(
-            f"{row.k:>4} {row.orbit_weight:>14.8f} "
-            f"{row.point_weight:>14.8f} {row.orbit_size:>6}"
-        )
-    m = report.moments
+    for k, orbit_weight, point_weight, size in _orbit_rows(result.design):
+        print(f"{k:>4} {orbit_weight:>14.8f} {point_weight:>14.8f} {size:>6}")
+    m = result.moments.as_floats()
     print(f"moments: m1={m.m1:.8g} m2={m.m2:.8g} m3={m.m3:.8g} m4={m.m4:.8g}")
-    print(f"log det = {report.log_det:.12g}   D-efficiency = {report.d_efficiency:.6f}")
-    verdict = "PASS" if report.passed else "FAIL"
-    print(
-        f"KW check: max(psi - p) = {report.kw_max_violation:.3e} "
-        f"(tol {tol:.0e}) -> {verdict}"
-    )
+    print(f"log det = {result.log_det:.12g}   D-efficiency = {result.d_efficiency:.6f}")
+    verdict = "PASS" if kw.passed else "FAIL"
+    print(f"KW check: max(psi - p) = {kw.max_violation:.3e} (tol {kw.tol:.0e}) -> {verdict}")
 
 
 def _design_payload(design: OrbitDesign, lower: int, upper: int) -> dict:
@@ -168,11 +93,9 @@ def _write_design_json(path: str, design: OrbitDesign, lower: int, upper: int) -
 
 
 def _write_design_csv(path: str, design: OrbitDesign) -> None:
-    K = design.k_factors
     lines = ["k,orbit_weight,point_weight,orbit_size"]
-    for k, w in sorted(design.weights().items()):
-        size = orbit_size(K, k)
-        lines.append(f"{k},{float(w):.17g},{float(w) / size:.17g},{size}")
+    for k, orbit_weight, point_weight, size in _orbit_rows(design):
+        lines.append(f"{k},{orbit_weight:.17g},{point_weight:.17g},{size}")
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
 
@@ -254,21 +177,13 @@ def _load_design_file(path: str, *, fold_symmetric: bool):
 
 
 def _cmd_optimal(args: argparse.Namespace) -> int:
-    if args.k > SOFT_MAX_K:
-        print(
-            f"warning: K = {args.k} exceeds the tested range (K <= {SOFT_MAX_K}); "
-            "proceeding anyway",
-            file=sys.stderr,
-        )
-    upper = args.upper if args.upper is not None else args.k - args.lower
-    design, regime = _generate(args.k, args.lower, upper, args.ell)
-    report = _build_report(design, args.lower, upper, regime, args.tol)
-    _print_report(report, args.tol)
+    result = optimal_design(args.k, args.lower, args.upper, args.ell, args.tol)
+    _print_report(result)
     if args.json:
-        _write_design_json(args.json, design, args.lower, upper)
+        _write_design_json(args.json, result.design, result.lower, result.upper)
     if args.csv:
-        _write_design_csv(args.csv, design)
-    return EXIT_OK if report.passed else EXIT_KW_FAIL
+        _write_design_csv(args.csv, result.design)
+    return EXIT_OK if result.kw_report.passed else EXIT_KW_FAIL
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
@@ -294,13 +209,8 @@ def _format_weight(value: Optional[float]) -> str:
 def _wide_rows(k_factors: int) -> list[tuple]:
     """Rows (K, L, ell, c, w_L, w_ell, w_c, B_K) of the wide-bounds table."""
     K = k_factors
-    disc = _threshold_discriminant(K)
-    ells = [
-        ell
-        for ell in range(K // 2 + 1)
-        if K <= (K - 2 * ell) ** 2 <= disc
-    ]
-    lowers = [low for low in range(K // 2 + 1) if (K - 2 * low) ** 2 >= disc]
+    ells = admissible_ells(K)
+    lowers = [low for low in range(K // 2 + 1) if regime(K, low) != "narrow"]
     center = K // 2
     rows = []
     for low in lowers:
@@ -398,23 +308,19 @@ def _point_string(x: Sequence[int]) -> str:
 
 def _cmd_expand(args: argparse.Namespace) -> int:
     if args.file is not None:
-        design, k_factors, lower, upper = _load_design_file(
-            args.file, fold_symmetric=False
-        )
+        design = _load_design_file(args.file, fold_symmetric=False)[0]
+    elif args.k is None or args.lower is None:
+        raise OrbitDesignError("expand needs either a design file or --k and --lower")
     else:
-        if args.k is None or args.lower is None:
-            raise OrbitDesignError("expand needs either a design file or --k and --lower")
-        k_factors = args.k
-        upper = args.upper if args.upper is not None else k_factors - args.lower
-        design, _ = _generate(k_factors, args.lower, upper, args.ell)
+        design = optimal_design(args.k, args.lower, args.upper, args.ell).design
+    k_factors = design.k_factors
 
     header = "k,point,point_weight"
     if args.n is not None:
         header += ",count"
     lines = [header]
     total_count = 0
-    for k in design.support():
-        weight = float(design.weight(k)) / orbit_size(k_factors, k)
+    for k, _, weight, _ in _orbit_rows(design):
         for x in enumerate_orbit(k_factors, k):
             line = f"{k},{_point_string(x)},{weight:.17g}"
             if args.n is not None:

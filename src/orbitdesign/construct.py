@@ -1,4 +1,8 @@
-"""Construction of D-optimal invariant designs on symmetrically bounded regions.
+"""Construction of D-optimal invariant designs on bounded regions.
+
+``optimal_design(K, lower, upper)`` is the entry point: it decides the
+regime, builds the design and certifies it once.  ``regime(K, L)`` is the one
+place the regime rule lives.
 
 With L <= active count <= K - L, two regimes exist, separated by the
 threshold
@@ -12,16 +16,18 @@ most three symmetric orbits: the outermost pair, the central orbit(s), and
 one intermediate pair.  For B_K < L < K/2 ("narrow" bounds) the identity is
 unattainable and the optimal design puts an optimized weight w* on each
 outermost orbit with the remainder on the central orbit(s); w* maximizes
-the log determinant over (0, 1/2).
+the log determinant over (0, 1/2).  Asymmetric bounds [L, U] reduce to the
+stricter side max(L, K - U) when that side is wide.
 
 Regime membership is decided in exact integer arithmetic: L <= B_K is
-equivalent to (K - 2L)^2 >= 3K - 2 (even K) resp. >= 3K (odd K).
+equivalent to K - 2L > 0 and (K - 2L)^2 >= 3K - 2 (even K) resp. >= 3K
+(odd K).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Optional
 
@@ -33,9 +39,9 @@ from .exceptions import (
     UnsupportedRegionError,
     WrongRegimeError,
 )
-from .info_matrix import log_det_derivatives, log_det_symmetric, model_dims
+from .info_matrix import d_efficiency_from_log_det, log_det_derivatives, log_det_symmetric
 from .moments import MomentSet, design_moments, orbit_moment
-from .orbits import OrbitDesign, orbit_size
+from .orbits import OrbitDesign, Region, orbit_size
 from .verify import KwReport, kw_check
 
 
@@ -57,6 +63,29 @@ def is_integer_threshold(k_factors: int) -> bool:
     disc = _threshold_discriminant(k_factors)
     root = math.isqrt(disc)
     return root * root == disc and (k_factors - root) % 2 == 0
+
+
+def regime(k_factors: int, lower: int) -> str:
+    """Regime of the symmetric bounds [L, K-L].
+
+    "narrow" when L > B_K, which includes every L >= K/2; otherwise
+    "full-factorial" for K <= 3, "threshold" when L = B_K and "wide" below.
+    """
+    if k_factors < 2:
+        raise OrbitDesignError(f"need K >= 2, got {k_factors}")
+    t = k_factors - 2 * lower
+    disc = _threshold_discriminant(k_factors)
+    if t <= 0 or t * t < disc:
+        return "narrow"
+    if k_factors <= 3:
+        return "full-factorial"
+    return "threshold" if t * t == disc else "wide"
+
+
+def admissible_ells(k_factors: int) -> list[int]:
+    """Intermediate orbits of the wide designs: B_K <= ell <= (K - sqrt(K))/2."""
+    K, disc = k_factors, _threshold_discriminant(k_factors)
+    return [ell for ell in range(K // 2 + 1) if K <= (K - 2 * ell) ** 2 <= disc]
 
 
 def full_factorial(k_factors: int) -> OrbitDesign:
@@ -115,19 +144,12 @@ class WideDesignSpec:
     design: OrbitDesign
 
 
-def _default_ell(k_factors: int, disc: int) -> int:
-    for ell in range(k_factors // 2 + 1):
-        if (k_factors - 2 * ell) ** 2 <= disc:
-            return ell
-    raise OrbitDesignError(f"no admissible intermediate orbit for K={k_factors}")
-
-
 def wide_design(k_factors: int, lower: int, ell: Optional[int] = None) -> WideDesignSpec:
     """Fully efficient design on [L, K-L] for L <= B_K.
 
-    The intermediate orbit index ell may be chosen by the caller from the
-    admissible range B_K <= ell <= (K - sqrt(K))/2; by default the smallest
-    admissible integer is used.  Returns the full factorial for K <= 3.
+    The intermediate orbit index ell may be chosen by the caller from
+    admissible_ells(K); by default the smallest admissible integer is used.
+    Returns the full factorial for K <= 3, where ell does not apply.
     """
     K = k_factors
     if K < 2:
@@ -140,28 +162,31 @@ def wide_design(k_factors: int, lower: int, ell: Optional[int] = None) -> WideDe
                 f"for K={K} only the full factorial estimates all parameters; "
                 f"no design on [{lower}, {K - lower}] can"
             )
+        if ell is not None:
+            raise OrbitDesignError(
+                f"for K={K} the design is the full factorial; ell does not apply"
+            )
         return WideDesignSpec(K, 0, None, Fraction(1), None, None, full_factorial(K))
 
-    disc = _threshold_discriminant(K)
-    t_low = K - 2 * lower
-    if t_low * t_low < disc:
+    kind = regime(K, lower)
+    if kind == "narrow":
         raise WrongRegimeError(
             f"lower bound {lower} exceeds the threshold B_{K} = {threshold_b(K):.4f}; "
             "use narrow_design"
         )
 
+    ells = admissible_ells(K)
     if ell is None:
-        if t_low * t_low == disc:
+        if kind == "threshold":
             # lower sits exactly at the threshold: the two-orbit design suffices.
             return WideDesignSpec(
                 K, lower, None, Fraction(1), _inner_weight(K, lower), None,
                 lemma2_design(K),
             )
-        ell = _default_ell(K, disc)
-    t_ell = K - 2 * ell
+        ell = ells[0]
     if ell <= lower:
         raise OrbitDesignError(f"ell must exceed the lower bound, got ell={ell} <= {lower}")
-    if 2 * ell >= K or t_ell * t_ell > disc or t_ell * t_ell < K:
+    if ell not in ells:
         raise OrbitDesignError(
             f"ell={ell} outside the admissible range "
             f"[{threshold_b(K):.4f}, {(K - math.sqrt(K)) / 2:.4f}]"
@@ -169,7 +194,8 @@ def wide_design(k_factors: int, lower: int, ell: Optional[int] = None) -> WideDe
 
     w_low = _inner_weight(K, lower)
     w_ell = _inner_weight(K, ell)
-    numer = disc - t_ell * t_ell
+    t_ell = K - 2 * ell
+    numer = _threshold_discriminant(K) - t_ell * t_ell
     alpha = Fraction(numer, 4 * (ell - lower) * (K - lower - ell))
     if not 0 <= alpha <= 1:
         raise OrbitDesignError(f"mixing weight alpha={alpha} outside [0, 1]")
@@ -230,9 +256,7 @@ def narrow_design(k_factors: int, lower: int) -> NarrowDesignSpec:
             f"the region [{lower}, {K - lower}] holds a single symmetric orbit; "
             "the information matrix is always singular there"
         )
-    disc = _threshold_discriminant(K)
-    t_low = K - 2 * lower
-    if t_low * t_low >= disc:
+    if regime(K, lower) != "narrow":
         raise WrongRegimeError(
             f"lower bound {lower} is at or below the threshold B_{K} = "
             f"{threshold_b(K):.4f}; use wide_design"
@@ -273,37 +297,73 @@ def narrow_design(k_factors: int, lower: int) -> NarrowDesignSpec:
             break
 
     design = OrbitDesign(K, {lower: w, center: (1 - 2 * w) / (1 + K % 2)}, symmetric=True)
-    ld = logdet(w)
-    eff = math.exp(ld / model_dims(K).p)
     report = kw_check(design, lower, K - lower)
     if not report.passed:
         raise OrbitDesignError(
             f"optimized design failed the equivalence check "
             f"(max violation {report.max_violation:.3g}); this indicates a bug"
         )
-    return NarrowDesignSpec(K, lower, w, design, ld, eff, report)
+    ld = log_det_symmetric(K, report.moments)
+    return NarrowDesignSpec(K, lower, w, design, ld, d_efficiency_from_log_det(K, ld), report)
 
 
-def asymmetric_reduce(
-    k_factors: int, lower: int, upper: int, ell: Optional[int] = None
-) -> OrbitDesign:
-    """Optimal design for asymmetric wide bounds via the stricter side.
+@dataclass(frozen=True)
+class OptimalDesign:
+    """The optimal design of a region [lower, upper] with its certificate.
 
-    With effective bound max(L, K-U) <= B_K the fully efficient design for
-    the symmetric region [max(L, K-U), K - max(L, K-U)] is supported inside
-    [L, U] and remains optimal there; ell is passed on to wide_design.
-    Narrower asymmetric bounds are out of scope.
+    moments are the exact moments of the stored design, log_det and
+    d_efficiency follow from them, and kw_report is the one
+    equivalence-theorem check of the design over [lower, upper].
+    """
+
+    k_factors: int
+    lower: int
+    upper: int
+    regime: str
+    design: OrbitDesign
+    moments: MomentSet
+    log_det: float
+    d_efficiency: float
+    kw_report: KwReport
+
+
+def optimal_design(
+    k_factors: int,
+    lower: int,
+    upper: Optional[int] = None,
+    ell: Optional[int] = None,
+    tol: float = 1e-9,
+) -> OptimalDesign:
+    """D-optimal design on [lower, upper] (default upper: K - lower), certified once.
+
+    The regime is that of the stricter side max(L, K-U).  When it is wide,
+    the fully efficient design for [max(L, K-U), K - max(L, K-U)] lies inside
+    [L, U] and stays optimal there; ell is passed on to wide_design.
+    Narrow bounds are supported when symmetric (UnsupportedRegionError
+    otherwise) and take no ell.  The verdict of kw_report is taken at tol.
     """
     K = k_factors
-    if not 0 <= lower <= upper <= K:
-        raise OrbitDesignError(f"invalid bounds [{lower}, {upper}] for K={K}")
+    upper = K - lower if upper is None else upper
+    region = Region(K, lower, upper)
     effective = max(lower, K - upper)
-    if K > 3:
-        t = K - 2 * effective
-        if t * t < _threshold_discriminant(K):
-            raise UnsupportedRegionError(
-                f"asymmetric bounds [{lower}, {upper}] are narrower than the "
-                f"threshold B_{K} = {threshold_b(K):.4f}; only wide asymmetric "
-                "bounds are supported"
-            )
-    return wide_design(K, effective, ell).design
+    kind = regime(K, effective)
+    if kind != "narrow":
+        design = wide_design(K, effective, ell).design
+        report = kw_check(design, lower, upper, tol)
+        ld = log_det_symmetric(K, report.moments)
+    elif not region.symmetric():
+        raise UnsupportedRegionError(
+            f"asymmetric bounds [{lower}, {upper}] put max(L, K-U) = {effective} above "
+            f"the threshold B_{K} = {threshold_b(K):.4f}; only wide asymmetric "
+            "bounds are supported"
+        )
+    elif ell is not None:
+        raise OrbitDesignError("ell applies to the wide regime only")
+    else:
+        spec = narrow_design(K, lower)
+        design, ld = spec.design, spec.log_det
+        report = replace(spec.kw_report, tol=tol)
+    return OptimalDesign(
+        K, lower, upper, kind, design, report.moments, ld,
+        d_efficiency_from_log_det(K, ld), report,
+    )

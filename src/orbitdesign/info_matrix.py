@@ -267,6 +267,11 @@ def log_det_symmetric(k_factors: int, m: MomentSet) -> float:
     return total
 
 
+def d_efficiency_from_log_det(k_factors: int, log_det: float) -> float:
+    """det(M)^(1/p), the efficiency relative to the full factorial; 0 if singular."""
+    return math.exp(log_det / model_dims(k_factors).p)
+
+
 def regularity(design: OrbitDesign, k_factors: int | None = None) -> RegularityReport:
     """Nonsingularity classification of a symmetric invariant design.
 

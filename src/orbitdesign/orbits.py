@@ -24,8 +24,8 @@ DesignPoint = tuple[int, ...]
 #: Orbit weights are exact rationals where the construction permits, floats otherwise.
 Weight = Union[Fraction, float, int]
 
-# Binomials stay exact in Python for any K, but the library's contracts are
-# only exercised for small K; refuse absurd inputs instead of looping forever.
+# Scalar paths take any K.  Enumerating an orbit costs C(K, k) points, so
+# enumeration refuses larger K instead of running practically forever.
 MAX_BINOMIAL_K = 64
 
 WEIGHT_SUM_TOL = 1e-12
@@ -44,8 +44,6 @@ def active_count(x: DesignPoint) -> int:
 
 def orbit_size(k_factors: int, k: int) -> int:
     """Exact size C(K, k) of the orbit with k active factors."""
-    if k_factors < 0 or k_factors > MAX_BINOMIAL_K:
-        raise OrbitDesignError(f"factor count must be in 0..{MAX_BINOMIAL_K}, got {k_factors}")
     if not 0 <= k <= k_factors:
         raise OrbitDesignError(f"orbit index must be in 0..{k_factors}, got {k}")
     return math.comb(k_factors, k)
@@ -56,8 +54,10 @@ def enumerate_orbit(k_factors: int, k: int) -> Iterator[DesignPoint]:
 
     Points are emitted in lexicographic order of their +1-position subsets,
     so the stream is deterministic and the first point has the k leading
-    coordinates active.  Intended for K <= 22; larger K is the caller's risk.
+    coordinates active.  Refuses K > MAX_BINOMIAL_K.
     """
+    if k_factors > MAX_BINOMIAL_K:
+        raise OrbitDesignError(f"factor count must be in 0..{MAX_BINOMIAL_K}, got {k_factors}")
     if not 0 <= k <= k_factors:
         raise OrbitDesignError(f"orbit index must be in 0..{k_factors}, got {k}")
     for positions in combinations(range(k_factors), k):

@@ -26,7 +26,6 @@ them with the orbit weights, so it is exact whenever the weights are.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -34,17 +33,17 @@ from typing import Union
 
 import numpy as np
 
-from .exceptions import OrbitDesignError, SingularDesignError
+from .exceptions import OrbitDesignError
 from .info_matrix import (
     InfoMatrix,
     block_trace,
     common_scale,
+    d_efficiency_from_log_det,
     inverse_coefficients,
     interaction_pairs,
     log_det_symmetric,
     model_dims,
     moment_direction,
-    regularity,
 )
 from .moments import MomentSet, design_moments, moment_polynomial
 from .orbits import OrbitDesign, enumerate_orbit, orbit_size
@@ -72,14 +71,22 @@ class SensitivityPoly:
 
 @dataclass(frozen=True)
 class KwReport:
-    """Result of the equivalence-theorem check over a region of orbits."""
+    """Result of the equivalence-theorem check over a region of orbits.
 
-    passed: bool
+    moments are the exact design moments the check was computed from; the
+    verdict is max_violation <= tol, so another tolerance needs no recompute.
+    """
+
     max_violation: float
     argmax_orbit: int
     per_orbit: dict[int, float]
     p: int
     tol: float
+    moments: MomentSet
+
+    @property
+    def passed(self) -> bool:
+        return self.max_violation <= self.tol
 
     def summary(self) -> str:
         verdict = "PASS" if self.passed else "FAIL"
@@ -134,9 +141,6 @@ def kw_check(
         raise OrbitDesignError(
             f"design puts weight on orbits {outside} outside the region [{lower}, {upper}]"
         )
-    report = regularity(design)
-    if not report.regular:
-        raise SingularDesignError(report.message())
     m = design_moments(design)
     poly = sensitivity_poly(K, m)
     p = model_dims(K).p
@@ -153,16 +157,13 @@ def kw_check(
         if k == lower or value > top:
             top, argmax = value, k
     max_violation = (top - p * scale) / scale
-    return KwReport(max_violation <= tol, max_violation, argmax, per_orbit, p, tol)
+    return KwReport(max_violation, argmax, per_orbit, p, tol, m)
 
 
 def d_efficiency(design: OrbitDesign) -> float:
     """det(M)^(1/p), the efficiency relative to the full factorial; 0 if singular."""
-    m = design_moments(design)
-    ld = log_det_symmetric(design.k_factors, m)
-    if ld == -math.inf:
-        return 0.0
-    return math.exp(ld / model_dims(design.k_factors).p)
+    K = design.k_factors
+    return d_efficiency_from_log_det(K, log_det_symmetric(K, design_moments(design)))
 
 
 @lru_cache(maxsize=None)

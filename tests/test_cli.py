@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import ast
 import json
 import os
 import subprocess
@@ -11,6 +12,7 @@ from pathlib import Path
 import pytest
 
 import orbitdesign
+import orbitdesign.cli
 from orbitdesign.cli import main
 
 from reference_tables import NARROW_ROWS, WIDE_ROWS
@@ -105,6 +107,59 @@ class TestOptimal:
         )
         assert code == 2
         assert "wide regime" in err
+
+    @pytest.mark.parametrize("lower, upper", [(12, 16), (0, 3)])
+    def test_one_sided_region_exits_3(self, capsys, lower, upper):
+        # The region lies on one side of the centre orbit of K = 16.
+        code, out, err = run_cli(
+            capsys, "optimal", "--k", "16", "--lower", str(lower), "--upper", str(upper)
+        )
+        assert code == 3
+        assert out == ""
+        assert "only wide asymmetric bounds are supported" in err
+
+    def test_ell_for_full_factorial_is_usage_error(self, capsys):
+        code, out, err = run_cli(capsys, "optimal", "--k", "3", "--lower", "0", "--ell", "1")
+        assert code == 2
+        assert out == ""
+        assert "ell does not apply" in err
+
+    @pytest.mark.parametrize("k_factors, lower", [(76, 37), (70, 0)])
+    def test_large_k_certifies(self, capsys, k_factors, lower):
+        code, out, err = run_cli(
+            capsys, "optimal", "--k", str(k_factors), "--lower", str(lower)
+        )
+        assert code == 0
+        assert out.splitlines()[-1].endswith("-> PASS")
+        assert err == ""
+
+    def test_tight_tolerance_fails(self, capsys):
+        # The certificate is exact; 1e-20 is below its rounding to float.
+        code, out, _ = run_cli(capsys, "optimal", "--k", "6", "--lower", "2", "--tol", "1e-20")
+        assert code == 4
+        assert out.splitlines()[-1].endswith("(tol 1e-20) -> FAIL")
+
+    @pytest.mark.parametrize(
+        "k_factors, lower, regime",
+        [(12, 1, "wide"), (22, 7, "threshold"), (6, 2, "narrow")],
+    )
+    def test_certifies_once(self, capsys, monkeypatch, k_factors, lower, regime):
+        original = orbitdesign.kw_check
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        for name, module in list(sys.modules.items()):
+            if name.startswith("orbitdesign") and getattr(module, "kw_check", None) is original:
+                monkeypatch.setattr(module, "kw_check", counting)
+        code, out, _ = run_cli(
+            capsys, "optimal", "--k", str(k_factors), "--lower", str(lower)
+        )
+        assert code == 0
+        assert f"regime: {regime}" in out
+        assert len(calls) == 1
 
     def test_json_round_trip(self, capsys, tmp_path):
         path = tmp_path / "design.json"
@@ -341,6 +396,33 @@ class TestExpand:
         code, _, err = run_cli(capsys, "expand")
         assert code == 2
         assert "--k" in err
+
+    def test_large_k_enumeration_refused(self, capsys):
+        code, out, err = run_cli(capsys, "expand", "--k", "70", "--lower", "0")
+        assert code == 2
+        assert out == ""
+        assert "factor count must be in 0..64" in err
+
+    def test_one_sided_region_exits_3(self, capsys):
+        # At K = 6 the region [5, 6] holds no design of the wide regime.
+        code, out, err = run_cli(capsys, "expand", "--k", "6", "--lower", "5", "--upper", "6")
+        assert code == 3
+        assert out == ""
+        assert "only wide asymmetric bounds are supported" in err
+
+
+def test_cli_imports_no_private_names():
+    # Regime rules and other internals stay in the library modules.
+    tree = ast.parse(Path(orbitdesign.cli.__file__).read_text(encoding="utf-8"))
+    private = [
+        f"{node.module}.{alias.name}"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom)
+        and (node.level or (node.module or "").startswith("orbitdesign"))
+        for alias in node.names
+        if alias.name.startswith("_")
+    ]
+    assert private == []
 
 
 def run_module(*argv):

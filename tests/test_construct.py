@@ -14,7 +14,6 @@ from orbitdesign import (
     OrbitDesignError,
     UnsupportedRegionError,
     WrongRegimeError,
-    asymmetric_reduce,
     design_moments,
     full_factorial,
     is_integer_threshold,
@@ -22,10 +21,13 @@ from orbitdesign import (
     lemma2_design,
     log_det_symmetric,
     narrow_design,
+    optimal_design,
     orbit_size,
+    regime,
     threshold_b,
     wide_design,
 )
+from orbitdesign.construct import admissible_ells
 
 from reference_tables import NARROW_ROWS, WIDE_ROWS
 
@@ -211,17 +213,109 @@ class TestNarrowDesign:
 
 
 class TestAsymmetricReduce:
+    """optimal_design reduces asymmetric bounds to the stricter side max(L, K-U)."""
+
     def test_reduces_to_stricter_side(self):
-        assert asymmetric_reduce(6, 0, 5) == wide_design(6, 1).design
-        assert asymmetric_reduce(9, 1, 9) == wide_design(9, 1).design
+        assert optimal_design(6, 0, 5).design == wide_design(6, 1).design
+        assert optimal_design(9, 1, 9).design == wide_design(9, 1).design
 
     def test_support_inside_region(self):
-        design = asymmetric_reduce(8, 1, 7)
+        design = optimal_design(8, 1, 7).design
         assert all(1 <= k <= 7 for k in design.support())
 
     def test_narrow_asymmetric_rejected(self):
         with pytest.raises(UnsupportedRegionError):
-            asymmetric_reduce(8, 3, 6)
+            optimal_design(8, 3, 6)
+
+
+class TestRegime:
+    def test_regime_names(self):
+        assert regime(3, 0) == "full-factorial"
+        assert regime(6, 0) == "wide"
+        assert regime(6, 1) == "threshold"
+        assert regime(6, 2) == "narrow"
+        assert regime(22, 7) == "threshold"
+
+    def test_beyond_centre_is_narrow(self):
+        # (K - 2L)^2 alone would call these wide.
+        for k_factors, lower in ((6, 5), (6, 6), (16, 12), (16, 16), (3, 3)):
+            assert regime(k_factors, lower) == "narrow"
+
+    def test_admissible_ells_band(self):
+        assert admissible_ells(9) == [2, 3]
+        assert admissible_ells(22) == [7, 8]
+        for k_factors in range(4, 65):
+            ells = admissible_ells(k_factors)
+            assert ells == list(range(ells[0], ells[-1] + 1))
+            assert threshold_b(k_factors) <= ells[0]
+            assert ells[-1] <= (k_factors - math.sqrt(k_factors)) / 2
+
+    def test_wide_design_beyond_centre_rejected(self):
+        # The L = 1 design is supported on {1, 3, 5}, outside [5, 6].
+        with pytest.raises(WrongRegimeError):
+            wide_design(6, 5)
+
+    def test_ell_rejected_for_full_factorial(self):
+        with pytest.raises(OrbitDesignError, match="ell does not apply"):
+            wide_design(3, 0, 1)
+
+
+def _check_region(k_factors, lower, upper):
+    """optimal_design certifies the region, or refuses it for a stated reason."""
+    symmetric = lower + upper == k_factors
+    effective = max(lower, k_factors - upper)
+    try:
+        result = optimal_design(k_factors, lower, upper)
+    except UnsupportedRegionError:
+        assert not symmetric and effective > threshold_b(k_factors)
+        return
+    except EstimabilityError:
+        assert symmetric and (k_factors <= 3 or lower == k_factors // 2)
+        return
+    assert result.kw_report.passed
+    assert all(lower <= k <= upper for k in result.design.support())
+    assert (result.regime == "narrow") == (effective > threshold_b(k_factors))
+    assert (result.regime == "threshold") == (
+        k_factors > 3 and effective == threshold_b(k_factors)
+    )
+    assert (result.regime == "full-factorial") == (k_factors <= 3)
+
+
+class TestRegionSweep:
+    def test_every_region_small_k(self):
+        for k_factors in range(2, 17):
+            for lower in range(k_factors + 1):
+                for upper in range(lower, k_factors + 1):
+                    _check_region(k_factors, lower, upper)
+
+    def test_every_symmetric_region_up_to_k64(self):
+        for k_factors in range(2, 65):
+            for lower in range(k_factors // 2 + 1):
+                _check_region(k_factors, lower, k_factors - lower)
+
+    def test_record_matches_constructors(self):
+        result = optimal_design(6, 2)
+        spec = narrow_design(6, 2)
+        assert (result.lower, result.upper, result.regime) == (2, 4, "narrow")
+        assert result.design == spec.design
+        assert result.log_det == spec.log_det
+        assert result.d_efficiency == spec.d_efficiency
+        assert result.moments == design_moments(spec.design)
+        wide = optimal_design(12, 3, ell=4)
+        assert wide.design == wide_design(12, 3, 4).design
+        assert wide.moments == MomentSet(0, 0, 0, 0)
+        assert (wide.log_det, wide.d_efficiency) == (0.0, 1.0)
+
+    def test_tolerance_judges_the_same_certificate(self):
+        loose = optimal_design(6, 2)
+        tight = optimal_design(6, 2, tol=1e-20)
+        assert loose.kw_report.passed and not tight.kw_report.passed
+        assert tight.kw_report.max_violation == loose.kw_report.max_violation
+        assert tight.kw_report.tol == 1e-20
+
+    def test_ell_in_narrow_regime_rejected(self):
+        with pytest.raises(OrbitDesignError, match="wide regime"):
+            optimal_design(6, 2, ell=3)
 
 
 class TestCertification:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -64,8 +65,10 @@ class TestOrbitSize:
             orbit_size(6, 7)
         with pytest.raises(OrbitDesignError):
             orbit_size(6, -1)
-        with pytest.raises(OrbitDesignError):
-            orbit_size(65, 1)
+        # Only enumeration is capped in K; sizes are exact for any K.
+        with pytest.raises(OrbitDesignError, match="factor count"):
+            list(enumerate_orbit(65, 1))
+        assert orbit_size(76, 38) == math.comb(76, 38)
 
 
 class TestEnumerateOrbit:

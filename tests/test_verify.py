@@ -113,7 +113,8 @@ class TestKwCheck:
 
     def test_singular_design_raises_with_diagnostic(self):
         d = OrbitDesign(6, {0: Fraction(1, 4), 3: Fraction(1, 2)}, symmetric=True)
-        with pytest.raises(SingularDesignError, match="lambda_S"):
+        # det B = (1 - m2) * lambda_S, and lambda_S vanishes.
+        with pytest.raises(SingularDesignError, match="block B"):
             kw_check(d, 0, 6)
 
     def test_invalid_region(self):
