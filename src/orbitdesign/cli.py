@@ -3,7 +3,8 @@
 Subcommands:
 
   optimal   construct the D-optimal design for a region, certify it, report it
-  verify    run the equivalence-theorem check on a design file
+  verify    run the equivalence-theorem check on a design file (any
+            invariant design, sign-symmetric or not)
   tables    regenerate the reference tables of optimal designs (wide/narrow)
   expand    list every supported design point with its weight
 
@@ -20,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from typing import Optional, Sequence
 
@@ -100,13 +102,13 @@ def _write_design_csv(path: str, design: OrbitDesign) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
-def _load_design_file(path: str, *, fold_symmetric: bool):
+def _load_design_file(path: str):
     """Parse and validate a design file; returns (design, k, lower, upper).
 
-    Unknown keys are rejected, weights must be nonnegative and sum to 1
-    within 1e-9 (then renormalized), and every orbit must lie inside the
-    declared region.  With fold_symmetric=True the weight map must be
-    mirror-symmetric and is folded into a structurally symmetric design.
+    Unknown keys are rejected, weights must be finite, nonnegative and sum
+    to 1 within 1e-9 (then renormalized), and every orbit must lie inside
+    the declared region.  Any invariant design is accepted, sign-symmetric
+    or not; verify and expand load the same design.
     """
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -144,7 +146,7 @@ def _load_design_file(path: str, *, fold_symmetric: bool):
         k, w = entry["k"], entry["weight"]
         if not isinstance(k, int) or isinstance(k, bool):
             raise OrbitDesignError("design file: orbit index must be an integer")
-        if not isinstance(w, (int, float)) or isinstance(w, bool) or w < 0:
+        if type(w) not in (int, float) or not math.isfinite(w) or w < 0:
             raise OrbitDesignError(f"design file: invalid weight {w!r} at k={k}")
         if k in weights:
             raise OrbitDesignError(f"design file: duplicate orbit index {k}")
@@ -158,22 +160,7 @@ def _load_design_file(path: str, *, fold_symmetric: bool):
     if abs(total - 1) > 1e-9:
         raise OrbitDesignError(f"design file: orbit weights sum to {total:.12g}, not 1")
     weights = {k: w / total for k, w in weights.items()}
-
-    if not fold_symmetric:
-        return OrbitDesign(k_factors, weights), k_factors, lower, upper
-
-    folded: dict[int, float] = {}
-    for k, w in weights.items():
-        mirror = k_factors - k
-        if abs(w - weights.get(mirror, 0.0)) > 1e-12:
-            raise OrbitDesignError(
-                "design file: weights are not sign-symmetric "
-                f"(w[{k}] != w[{mirror}]); only symmetric designs can be verified"
-            )
-        low = min(k, mirror)
-        folded[low] = (w + weights.get(mirror, 0.0)) / 2
-    design = OrbitDesign(k_factors, folded, symmetric=True)
-    return design, k_factors, lower, upper
+    return OrbitDesign(k_factors, weights), k_factors, lower, upper
 
 
 def _cmd_optimal(args: argparse.Namespace) -> int:
@@ -187,7 +174,7 @@ def _cmd_optimal(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    design, k_factors, lower, upper = _load_design_file(args.file, fold_symmetric=True)
+    design, k_factors, lower, upper = _load_design_file(args.file)
     if args.lower is not None:
         lower = args.lower
     if args.upper is not None:
@@ -308,7 +295,7 @@ def _point_string(x: Sequence[int]) -> str:
 
 def _cmd_expand(args: argparse.Namespace) -> int:
     if args.file is not None:
-        design = _load_design_file(args.file, fold_symmetric=False)[0]
+        design = _load_design_file(args.file)[0]
     elif args.k is None or args.lower is None:
         raise OrbitDesignError("expand needs either a design file or --k and --lower")
     else:
@@ -343,6 +330,22 @@ def _cmd_expand(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _tolerance(text: str) -> float:
+    """argparse type of --tol: a finite float >= 0."""
+    value = float(text)
+    if not (math.isfinite(value) and value >= 0):
+        raise argparse.ArgumentTypeError(f"tolerance must be finite and >= 0, got {text}")
+    return value
+
+
+def _sample_size(text: str) -> int:
+    """argparse type of --n: an integer >= 1."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"sample size must be >= 1, got {text}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="orbitdesign",
@@ -366,7 +369,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--ell", type=int, default=None,
         help="intermediate orbit index for the wide regime (default: smallest admissible)",
     )
-    p_opt.add_argument("--tol", type=float, default=1e-9, help="KW check tolerance")
+    p_opt.add_argument("--tol", type=_tolerance, default=1e-9, help="KW check tolerance")
     p_opt.add_argument("--json", metavar="PATH", help="write the design file here")
     p_opt.add_argument("--csv", metavar="PATH", help="write orbit weights as CSV")
 
@@ -374,7 +377,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_ver.add_argument("file", help="design file (JSON)")
     p_ver.add_argument("--lower", type=int, default=None, help="override region lower bound")
     p_ver.add_argument("--upper", type=int, default=None, help="override region upper bound")
-    p_ver.add_argument("--tol", type=float, default=1e-9, help="KW check tolerance")
+    p_ver.add_argument("--tol", type=_tolerance, default=1e-9, help="KW check tolerance")
 
     p_tab = sub.add_parser("tables", help="regenerate the optimal-design tables")
     p_tab.add_argument(
@@ -390,7 +393,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_exp.add_argument("--lower", type=int, default=None, help="minimal active count")
     p_exp.add_argument("--upper", type=int, default=None, help="maximal active count")
     p_exp.add_argument("--ell", type=int, default=None, help="intermediate orbit (wide regime)")
-    p_exp.add_argument("--n", type=int, default=None, help="sample size for rounded counts")
+    p_exp.add_argument(
+        "--n", type=_sample_size, default=None, help="sample size for rounded counts"
+    )
     p_exp.add_argument("--csv", metavar="PATH", help="also write CSV here")
     return parser
 

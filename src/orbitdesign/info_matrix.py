@@ -181,20 +181,21 @@ def information_blocks(
 @lru_cache(maxsize=None)
 def moment_direction(k_factors: int, j: int) -> tuple[int, ...]:
     """dM/dm_j for j = 1..4, and the identity for j = 0, in the layout of
-    block_trace: its transposed blocks flattened and weighted by multiplicity."""
+    moment_traces: its transposed blocks flattened and weighted by multiplicity."""
     unit = [int(i == j) for i in range(5)]
     blocks = information_blocks(k_factors, *unit[1:], one=unit[0])
     return tuple(block.mult * v for block in blocks for col in zip(*block.matrix) for v in col)
 
 
-def block_trace(inverse: tuple[Block, ...], direction: tuple[int, ...]) -> Numeric:
-    """tr(M^-1 D) from the blocks of M^-1 and a direction D from moment_direction.
+def moment_traces(k_factors: int, inverse: tuple[Block, ...]) -> tuple[Numeric, ...]:
+    """g_0 = tr(M^-1) and g_j = tr(M^-1 dM/dm_j), j = 1..4, from the blocks of M^-1.
 
-    Exact inverses are brought to a common denominator first, so the sum
+    An exact inverse is brought to a common denominator once, so each trace
     runs in integers and costs a single division.
     """
     scale, flat = common_scale([x for block in inverse for row in block.matrix for x in row])
-    return _ratio(sum(map(mul, flat, direction)), scale)
+    traces = (sum(map(mul, flat, moment_direction(k_factors, j))) for j in range(5))
+    return tuple(_ratio(trace, scale) for trace in traces)
 
 
 def _adjugate(a: tuple[tuple[Numeric, ...], ...]):

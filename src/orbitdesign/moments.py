@@ -48,10 +48,6 @@ class MomentSet:
             if not abs(float(value)) <= 1 + 1e-9:
                 raise OrbitDesignError(f"moment {name}={value} outside [-1, 1]")
 
-    def is_symmetric(self) -> bool:
-        """True when the odd moments vanish exactly."""
-        return self.m1 == 0 and self.m3 == 0
-
     def as_floats(self) -> "MomentSet":
         return MomentSet(float(self.m1), float(self.m2), float(self.m3), float(self.m4))
 

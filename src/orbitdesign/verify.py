@@ -11,13 +11,13 @@ orbit moments m_j(k), so
     g_0 = tr(M^-1),  g_j = tr(M^-1 dM/dm_j),
 
 each trace taken block by block (see info_matrix).  The orbit moments are
-polynomials in t = 2k - K; for sign-symmetric designs g_1 = g_3 = 0 and psi
-is the even quartic
+polynomials in t = 2k - K, so for every invariant design psi is the quartic
 
-    psi_tilde(k) = a4 t^4 + a2 t^2 + a0.
+    psi_tilde(k) = a4 t^4 + a3 t^3 + a2 t^2 + a1 t + a0,
 
-Checking optimality on a region therefore reduces to a finite maximum of a
-quartic over the admitted orbit indices.
+and for sign-symmetric designs g_1 = g_3 = 0, so a1 = a3 = 0 and the
+quartic is even.  Checking optimality on a region therefore reduces to a
+finite maximum of a quartic over the admitted orbit indices.
 
 A direct summation oracle over enumerated orbits backs all structured
 formulas; it accumulates exact integer Gram matrices per orbit and combines
@@ -36,14 +36,13 @@ import numpy as np
 from .exceptions import OrbitDesignError
 from .info_matrix import (
     InfoMatrix,
-    block_trace,
     common_scale,
     d_efficiency_from_log_det,
     inverse_coefficients,
     interaction_pairs,
     log_det_symmetric,
     model_dims,
-    moment_direction,
+    moment_traces,
 )
 from .moments import MomentSet, design_moments, moment_polynomial
 from .orbits import OrbitDesign, enumerate_orbit, orbit_size
@@ -55,18 +54,19 @@ BRUTE_FORCE_MAX_K = 12
 
 @dataclass(frozen=True)
 class SensitivityPoly:
-    """Even quartic giving the sensitivity value on each orbit."""
+    """Quartic in t = 2k - K giving the sensitivity value on each orbit."""
 
     k_factors: int
     a0: Numeric
+    a1: Numeric
     a2: Numeric
+    a3: Numeric
     a4: Numeric
 
     def value(self, k: int) -> Numeric:
         """psi_tilde(k) for orbit index k."""
         t = 2 * k - self.k_factors
-        t2 = t * t
-        return self.a4 * t2 * t2 + self.a2 * t2 + self.a0
+        return (((self.a4 * t + self.a3) * t + self.a2) * t + self.a1) * t + self.a0
 
 
 @dataclass(frozen=True)
@@ -97,27 +97,23 @@ class KwReport:
 
 
 def sensitivity_poly(k_factors: int, m: MomentSet) -> SensitivityPoly:
-    """Coefficients of the orbitwise sensitivity quartic for symmetric moments.
+    """Coefficients of the orbitwise sensitivity quartic for invariant moments.
 
-    Exact rational when the moments are exact.  Raises SingularDesignError
-    for singular moments and OrbitDesignError for nonzero odd moments.
+    Exact rational when the moments are exact; then a1 = a3 = 0 exactly for
+    symmetric moments.  Raises SingularDesignError for singular moments.
     """
-    if not m.is_symmetric():
-        raise OrbitDesignError(
-            "odd moments are nonzero; the even sensitivity quartic holds only "
-            "for sign-symmetric designs"
-        )
     K = k_factors
-    inverse = inverse_coefficients(K, m)
-    g0 = block_trace(inverse, moment_direction(K, 0))
+    g0, *traces = moment_traces(K, inverse_coefficients(K, m))
     coeffs = [g0] + [g0 * 0] * 4
-    for j in (2, 4):
+    for j, trace in enumerate(traces, start=1):
+        if not trace:
+            continue
         numer, denom = moment_polynomial(K, j)
-        g = block_trace(inverse, moment_direction(K, j)) / denom
+        g = trace / denom
         for i, c in enumerate(numer):
             if c:
                 coeffs[i] += g * c
-    return SensitivityPoly(K, coeffs[0], coeffs[2], coeffs[4])
+    return SensitivityPoly(K, *coeffs)
 
 
 def kw_check(
@@ -126,7 +122,7 @@ def kw_check(
     upper: int,
     tol: float = 1e-9,
 ) -> KwReport:
-    """Equivalence-theorem check of a symmetric design over orbits lower..upper.
+    """Equivalence-theorem check of an invariant design over orbits lower..upper.
 
     Passing certifies D-optimality among all designs supported on the
     region.  The design must be supported inside the region (otherwise
@@ -147,16 +143,12 @@ def kw_check(
 
     # The moments are exact, so the quartic is: over a common denominator
     # the scan runs in integers and rounds once per reported value.
-    scale, (a0, a2, a4) = common_scale((poly.a0, poly.a2, poly.a4))
-    per_orbit: dict[int, float] = {}
-    argmax = lower
-    for k in range(lower, upper + 1):
-        t2 = (2 * k - K) ** 2
-        value = a4 * t2 * t2 + a2 * t2 + a0
-        per_orbit[k] = value / scale
-        if k == lower or value > top:
-            top, argmax = value, k
-    max_violation = (top - p * scale) / scale
+    scale, coeffs = common_scale((poly.a0, poly.a1, poly.a2, poly.a3, poly.a4))
+    scaled = SensitivityPoly(K, *coeffs)
+    values = {k: scaled.value(k) for k in range(lower, upper + 1)}
+    argmax = max(values, key=values.get)
+    per_orbit = {k: value / scale for k, value in values.items()}
+    max_violation = (values[argmax] - p * scale) / scale
     return KwReport(max_violation, argmax, per_orbit, p, tol, m)
 
 

@@ -48,6 +48,15 @@ def random_symmetric_designs(k_factors, count, seed, min_total=0.0):
     return designs
 
 
+def random_asymmetric_designs(k_factors, count, seed):
+    """Full-support designs with independent weights on every orbit."""
+    rng = np.random.default_rng(seed)
+    return [
+        OrbitDesign(k_factors, dict(enumerate(rng.dirichlet(np.ones(k_factors + 1)))))
+        for _ in range(count)
+    ]
+
+
 def feature_vector(k_factors, x):
     """Regression vector (1, x, products of coordinate pairs) as float array."""
     pairs = interaction_pairs(k_factors)

@@ -31,6 +31,7 @@ from orbitdesign import (
 from conftest import (
     exact_identity,
     feature_vector,
+    random_asymmetric_designs,
     random_symmetric_designs,
     symmetric_design,
 )
@@ -167,10 +168,10 @@ def test_criterion_8_sensitivity_cross_check():
                 k_factors, 20, seed=2000 + k_factors, min_total=0.05
             )
             designs.append(wide_design(k_factors, 0).design)
+            designs = [d for d in designs if regularity(d).regular]
+            designs += random_asymmetric_designs(k_factors, 10, seed=2100 + k_factors)
             for design in designs:
                 m = design_moments(design)
-                if not regularity(design).regular:
-                    continue
                 poly = sensitivity_poly(k_factors, m)
                 info = assemble_general(k_factors, m).dense
                 inverse = np.linalg.inv(info)

@@ -9,17 +9,23 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import orbitdesign
 import orbitdesign.cli
+from orbitdesign import OrbitDesign, assemble_general, design_moments
 from orbitdesign.cli import main
 
+from conftest import feature_vector
 from reference_tables import NARROW_ROWS, WIDE_ROWS
 
 
 def run_cli(capsys, *argv):
-    code = main(list(argv))
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:  # argparse rejects malformed options this way
+        code = exc.code
     captured = capsys.readouterr()
     return code, captured.out, captured.err
 
@@ -139,6 +145,13 @@ class TestOptimal:
         assert code == 4
         assert out.splitlines()[-1].endswith("(tol 1e-20) -> FAIL")
 
+    @pytest.mark.parametrize("tol", ["nan", "-1", "inf"])
+    def test_invalid_tolerance_is_usage_error(self, capsys, tol):
+        code, out, err = run_cli(capsys, "optimal", "--k", "6", "--lower", "2", "--tol", tol)
+        assert code == 2
+        assert out == ""
+        assert "--tol" in err
+
     @pytest.mark.parametrize(
         "k_factors, lower, regime",
         [(12, 1, "wide"), (22, 7, "threshold"), (6, 2, "narrow")],
@@ -244,17 +257,36 @@ class TestVerify:
         assert code == 2
         assert "outside the region" in err
 
-    def test_asymmetric_design_rejected(self, capsys, tmp_path):
+    def test_asymmetric_design_certified(self, capsys, tmp_path):
+        weights = {1: 0.25, 3: 0.5, 4: 0.25}
         payload = {
             "k": 6,
             "lower": 1,
             "upper": 4,
-            "orbits": [{"k": 1, "weight": 0.5}, {"k": 3, "weight": 0.5}],
+            "orbits": [{"k": k, "weight": w} for k, w in weights.items()],
         }
         path = write_design(tmp_path / "asym.json", payload)
-        code, _, err = run_cli(capsys, "verify", path)
+        code, out, _ = run_cli(capsys, "verify", path)
+        assert code == 4
+        assert "FAIL" in out
+        psi = {
+            int(row[0]): float(row[1])
+            for row in map(str.split, out.splitlines())
+            if row[0].isdigit()
+        }
+        inverse = np.linalg.inv(assemble_general(6, design_moments(OrbitDesign(6, weights))).dense)
+        assert sorted(psi) == [1, 2, 3, 4]
+        for k, value in psi.items():
+            f = feature_vector(6, [1] * k + [-1] * (6 - k))
+            assert value == pytest.approx(f @ inverse @ f, abs=1e-9)
+
+    @pytest.mark.parametrize("tol", ["nan", "-1", "inf"])
+    def test_invalid_tolerance_is_usage_error(self, capsys, tmp_path, tol):
+        path = write_design(tmp_path / "d.json", K6_NARROW_FILE)
+        code, out, err = run_cli(capsys, "verify", path, "--tol", tol)
         assert code == 2
-        assert "sign-symmetric" in err
+        assert out == ""
+        assert "--tol" in err
 
     def test_singular_design_exits_3(self, capsys, tmp_path):
         payload = {
@@ -392,6 +424,13 @@ class TestExpand:
         assert code == 0
         assert len(out.splitlines()) == 1 + 4 + 6
 
+    @pytest.mark.parametrize("n", ["0", "-10"])
+    def test_invalid_sample_size_is_usage_error(self, capsys, n):
+        code, out, err = run_cli(capsys, "expand", "--k", "4", "--lower", "1", "--n", n)
+        assert code == 2
+        assert out == ""
+        assert "--n" in err
+
     def test_missing_arguments(self, capsys):
         code, _, err = run_cli(capsys, "expand")
         assert code == 2
@@ -409,6 +448,19 @@ class TestExpand:
         assert code == 3
         assert out == ""
         assert "only wide asymmetric bounds are supported" in err
+
+
+@pytest.mark.parametrize("command", ["verify", "expand"])
+@pytest.mark.parametrize("weight", [float("nan"), float("inf")])
+def test_non_finite_weight_rejected(capsys, tmp_path, command, weight):
+    payload = json.loads(json.dumps(K6_NARROW_FILE))
+    payload["orbits"][0]["weight"] = weight
+    # json writes these as NaN and Infinity, which json.load accepts.
+    path = write_design(tmp_path / "d.json", payload)
+    code, out, err = run_cli(capsys, command, path)
+    assert code == 2
+    assert out == ""
+    assert "invalid weight" in err and "at k=2" in err
 
 
 def test_cli_imports_no_private_names():

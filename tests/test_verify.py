@@ -27,14 +27,18 @@ from orbitdesign import (
     wide_design,
 )
 
-from conftest import exact_identity, feature_vector, random_symmetric_designs
+from conftest import (
+    exact_identity,
+    feature_vector,
+    random_asymmetric_designs,
+    random_symmetric_designs,
+)
 
 
-def dense_sensitivity(design, k):
+def dense_sensitivity(k_factors, m, k):
     """Oracle: f(x)^T M^-1 f(x) at one representative point of orbit k."""
-    info = assemble_general(design.k_factors, design_moments(design))
-    x = next(enumerate_orbit(design.k_factors, k))
-    f = feature_vector(design.k_factors, x)
+    info = assemble_general(k_factors, m)
+    f = feature_vector(k_factors, next(enumerate_orbit(k_factors, k)))
     return float(f @ np.linalg.solve(info.dense, f))
 
 
@@ -59,11 +63,12 @@ class TestSensitivityPoly:
             assert poly.value(k) == poly.value(8 - k)
 
     def test_matches_dense_oracle(self):
-        for k_factors in range(2, 9):
+        for k_factors in range(2, 11):
             designs = random_symmetric_designs(
                 k_factors, 5, seed=400 + k_factors, min_total=0.02
             )
             designs.append(wide_design(k_factors, 0).design)
+            designs += random_asymmetric_designs(k_factors, 5, seed=450 + k_factors)
             for d in designs:
                 m = design_moments(d)
                 try:
@@ -72,17 +77,23 @@ class TestSensitivityPoly:
                     continue
                 for k in range(k_factors + 1):
                     assert float(poly.value(k)) == pytest.approx(
-                        dense_sensitivity(d, k), abs=1e-9
+                        dense_sensitivity(k_factors, m, k), abs=1e-9
                     )
 
     def test_exact_design_gives_fraction_coefficients(self):
         for design in (lemma2_design(6), narrow_design(8, 3).design, full_factorial(3)):
             poly = sensitivity_poly(design.k_factors, design_moments(design))
-            assert all(isinstance(a, Fraction) for a in (poly.a0, poly.a2, poly.a4))
+            coeffs = (poly.a0, poly.a1, poly.a2, poly.a3, poly.a4)
+            assert all(isinstance(a, Fraction) for a in coeffs)
+            assert poly.a1 == poly.a3 == 0
 
-    def test_odd_moments_rejected(self):
-        with pytest.raises(OrbitDesignError, match="sign-symmetric"):
-            sensitivity_poly(6, MomentSet(Fraction(1, 3), 0, 0, 0))
+    def test_odd_moments_give_dense_psi(self):
+        d = OrbitDesign(6, {1: Fraction(1, 4), 3: Fraction(1, 2), 4: Fraction(1, 4)})
+        m = design_moments(d)
+        poly = sensitivity_poly(6, m)
+        assert m.m1 != 0 and poly.a1 != 0 and poly.a3 != 0
+        for k in range(7):
+            assert float(poly.value(k)) == pytest.approx(dense_sensitivity(6, m, k), abs=1e-9)
 
     def test_singular_moments_rejected(self):
         d = OrbitDesign(6, {3: Fraction(1)}, symmetric=True)
@@ -96,6 +107,15 @@ class TestKwCheck:
         report = kw_check(design, 0, 4)
         assert report.passed
         assert all(v == pytest.approx(11, abs=1e-12) for v in report.per_orbit.values())
+
+    def test_general_full_factorial_is_exactly_flat(self):
+        # Stored with every orbit weight separately, not folded.
+        for k_factors in range(2, 11):
+            design = OrbitDesign(k_factors, full_factorial(k_factors).weights())
+            assert not design.symmetric
+            report = kw_check(design, 0, k_factors)
+            assert report.max_violation == 0
+            assert set(report.per_orbit.values()) == {model_dims(k_factors).p}
 
     def test_perturbed_design_fails(self):
         spec = narrow_design(6, 2)
