@@ -23,7 +23,9 @@ import argparse
 import json
 import math
 import sys
-from typing import Optional, Sequence
+from contextlib import nullcontext
+from itertools import chain, islice
+from typing import Iterator, Optional, Sequence
 
 from .construct import (
     OptimalDesign,
@@ -49,6 +51,11 @@ EXIT_KW_FAIL = 4
 
 WIDE_TABLE_K = tuple(range(4, 13)) + (22,)
 NARROW_TABLE_K = tuple(range(4, 23))
+
+# expand writes its points in chunks of this many lines: one join per chunk
+# keeps memory flat in the output size, and whole chunks write faster than
+# single lines.
+EXPAND_CHUNK_LINES = 8192
 
 
 def _orbit_rows(design: OrbitDesign) -> list[tuple[int, float, float, int]]:
@@ -113,7 +120,7 @@ def _load_design_file(path: str):
     try:
         with open(path, "r", encoding="utf-8") as fh:
             raw = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:  # also bad UTF-8 and over-long integers
         raise OrbitDesignError(f"cannot read design file {path}: {exc}") from exc
 
     if not isinstance(raw, dict):
@@ -146,7 +153,11 @@ def _load_design_file(path: str):
         k, w = entry["k"], entry["weight"]
         if not isinstance(k, int) or isinstance(k, bool):
             raise OrbitDesignError("design file: orbit index must be an integer")
-        if type(w) not in (int, float) or not math.isfinite(w) or w < 0:
+        try:
+            weight = float(w) if type(w) in (int, float) else math.nan
+        except OverflowError:  # an integer literal beyond the float range
+            weight = math.inf
+        if not 0 <= weight < math.inf:
             raise OrbitDesignError(f"design file: invalid weight {w!r} at k={k}")
         if k in weights:
             raise OrbitDesignError(f"design file: duplicate orbit index {k}")
@@ -154,7 +165,7 @@ def _load_design_file(path: str):
             raise OrbitDesignError(
                 f"design file: orbit {k} outside the region [{lower}, {upper}]"
             )
-        weights[k] = float(w)
+        weights[k] = weight
 
     total = sum(weights.values())
     if abs(total - 1) > 1e-9:
@@ -293,6 +304,24 @@ def _point_string(x: Sequence[int]) -> str:
     return "".join("+" if entry == 1 else "-" for entry in x)
 
 
+def _expand_chunks(design: OrbitDesign, n: Optional[int]) -> Iterator[str]:
+    """The output of expand in chunks of up to EXPAND_CHUNK_LINES lines.
+
+    The header rides with the first chunk: enumerate_orbit refuses K >
+    MAX_BINOMIAL_K only when its first point is drawn, so a refused
+    expansion fails before anything is written.
+    """
+    header = "k,point,point_weight" + ("" if n is None else ",count") + "\n"
+    for k, _, weight, _ in _orbit_rows(design):
+        tail = f",{weight:.17g}" + ("" if n is None else f",{round(n * weight)}") + "\n"
+        points = enumerate_orbit(design.k_factors, k)
+        while chunk := "".join(
+            [f"{k},{_point_string(x)}{tail}" for x in islice(points, EXPAND_CHUNK_LINES)]
+        ):
+            yield header + chunk
+            header = ""
+
+
 def _cmd_expand(args: argparse.Namespace) -> int:
     if args.file is not None:
         design = _load_design_file(args.file)[0]
@@ -300,27 +329,18 @@ def _cmd_expand(args: argparse.Namespace) -> int:
         raise OrbitDesignError("expand needs either a design file or --k and --lower")
     else:
         design = optimal_design(args.k, args.lower, args.upper, args.ell).design
-    k_factors = design.k_factors
 
-    header = "k,point,point_weight"
+    chunks = _expand_chunks(design, args.n)
+    first = next(chunks)  # a refused enumeration raises here, before any output
+    with open(args.csv, "w", encoding="utf-8") if args.csv else nullcontext() as csv:
+        for chunk in chain((first,), chunks):
+            sys.stdout.write(chunk)
+            if csv:
+                csv.write(chunk)
     if args.n is not None:
-        header += ",count"
-    lines = [header]
-    total_count = 0
-    for k, _, weight, _ in _orbit_rows(design):
-        for x in enumerate_orbit(k_factors, k):
-            line = f"{k},{_point_string(x)},{weight:.17g}"
-            if args.n is not None:
-                count = round(args.n * weight)
-                total_count += count
-                line += f",{count}"
-            lines.append(line)
-    output = "\n".join(lines) + "\n"
-    sys.stdout.write(output)
-    if args.csv:
-        with open(args.csv, "w", encoding="utf-8") as fh:
-            fh.write(output)
-    if args.n is not None:
+        total_count = sum(
+            size * round(args.n * weight) for _, _, weight, size in _orbit_rows(design)
+        )
         note = (
             f"note: naive rounded counts sum to {total_count} "
             f"(target N = {args.n}); optimal rounding to an exact design "

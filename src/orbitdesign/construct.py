@@ -16,8 +16,11 @@ most three symmetric orbits: the outermost pair, the central orbit(s), and
 one intermediate pair.  For B_K < L < K/2 ("narrow" bounds) the identity is
 unattainable and the optimal design puts an optimized weight w* on each
 outermost orbit with the remainder on the central orbit(s); w* maximizes
-the log determinant over (0, 1/2).  Asymmetric bounds [L, U] reduce to the
-stricter side max(L, K - U) when that side is wide.
+the log determinant over (0, 1/2).  That objective is strictly concave and
+falls to -inf at both ends, so a safeguarded Newton search on its
+derivatives (``minimize_scalar``) finds w* with the standard library alone.
+Asymmetric bounds [L, U] reduce to the stricter side max(L, K - U) when
+that side is wide.
 
 Regime membership is decided in exact integer arithmetic: L <= B_K is
 equivalent to K - 2L > 0 and (K - 2L)^2 >= 3K - 2 (even K) resp. >= 3K
@@ -29,9 +32,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Optional
-
-from scipy.optimize import minimize_scalar
+from typing import Callable, Optional
 
 from .exceptions import (
     EstimabilityError,
@@ -43,6 +44,12 @@ from .info_matrix import d_efficiency_from_log_det, log_det_derivatives, log_det
 from .moments import MomentSet, design_moments, orbit_moment
 from .orbits import OrbitDesign, Region, orbit_size
 from .verify import KwReport, kw_check
+
+# The narrow search stops on a step shorter than this; the exact Newton
+# polishing after it takes w* the rest of the way.  The evaluation cap only
+# guards against derivatives that never settle.
+SEARCH_XTOL = 1e-12
+SEARCH_MAX_EVALUATIONS = 100
 
 
 def _threshold_discriminant(k_factors: int) -> int:
@@ -220,9 +227,43 @@ def _inner_weight(k_factors: int, orbit: int) -> Fraction:
     return Fraction(k_factors - 1, 2 * (t * t - 1))
 
 
+def minimize_scalar(
+    derivatives: Callable[[float], tuple[float, float]], lo: float, hi: float
+) -> tuple[float, int]:
+    """Minimizer of a strictly convex function on the open interval (lo, hi).
+
+    derivatives(x) gives the first and second derivative at x.  Newton steps
+    stay inside a bracket that shrinks on the sign of the first derivative;
+    a step that would leave it is replaced by bisection.  The search stops
+    once a step is shorter than SEARCH_XTOL, so a converged Newton iteration
+    is not followed by bisection down to the bracket width.  Evaluates only
+    inside (lo, hi).  Returns the minimizer and the number of evaluations.
+    """
+    x = (lo + hi) / 2
+    for evaluations in range(1, SEARCH_MAX_EVALUATIONS + 1):
+        first, second = derivatives(x)
+        if first > 0:
+            hi = x
+        else:
+            lo = x
+        step = first / second if second > 0 else math.inf
+        if abs(step) < SEARCH_XTOL:
+            return x - step, evaluations
+        previous, x = x, x - step
+        if not lo < x < hi:
+            x = (lo + hi) / 2
+        if abs(x - previous) < SEARCH_XTOL:
+            break
+    return x, evaluations
+
+
 @dataclass(frozen=True)
 class NarrowDesignSpec:
-    """Optimized two-symmetric-orbit design for narrow bounds."""
+    """Optimized two-symmetric-orbit design for narrow bounds.
+
+    evaluations counts the derivative evaluations of the search and the
+    polishing together; residual is d(log det)/dw at the last of them.
+    """
 
     k_factors: int
     lower: int
@@ -231,15 +272,19 @@ class NarrowDesignSpec:
     log_det: float
     d_efficiency: float
     kw_report: KwReport
+    evaluations: int
+    residual: float
 
 
 def narrow_design(k_factors: int, lower: int) -> NarrowDesignSpec:
     """Optimal design on [L, K-L] for B_K < L < K/2.
 
     Weight w* on each of the two outermost orbits, remainder on the central
-    orbit(s); w* found by bounded maximization of the log determinant over
-    (0, 1/2) followed by Newton polishing of the stationarity condition.
-    The returned design is certified by the equivalence-theorem check.
+    orbit(s).  w* maximizes the log determinant over (0, 1/2): a safeguarded
+    Newton search on its float derivatives (minimize_scalar) brackets it,
+    and Newton steps on exact derivatives polish the stationarity condition.
+    The returned design is certified by the equivalence-theorem check; the
+    spec also records the derivative evaluations and the final residual.
     """
     K = k_factors
     if K <= 3:
@@ -268,16 +313,12 @@ def narrow_design(k_factors: int, lower: int) -> NarrowDesignSpec:
     m4_slope = 2 * (orbit_moment(K, lower, 4) - m4_0)
     f2_0, f2_slope, f4_0, f4_slope = map(float, (m2_0, m2_slope, m4_0, m4_slope))
 
-    def logdet(w: float) -> float:
-        return log_det_symmetric(K, MomentSet(0.0, f2_0 + w * f2_slope, 0.0, f4_0 + w * f4_slope))
+    def negated_derivatives(w: float) -> tuple[float, float]:
+        m = MomentSet(0.0, f2_0 + w * f2_slope, 0.0, f4_0 + w * f4_slope)
+        first, second = log_det_derivatives(K, m, (0.0, f2_slope, 0.0, f4_slope))
+        return -first, -second
 
-    result = minimize_scalar(
-        lambda w: -logdet(w),
-        bounds=(1e-12, 0.5 - 1e-12),
-        method="bounded",
-        options={"xatol": 1e-13, "maxiter": 500},
-    )
-    w = float(result.x)
+    w, evaluations = minimize_scalar(negated_derivatives, 0.0, 0.5)
     # Newton steps on d(logdet)/dw = 0 from the bracketed optimum.  The
     # derivatives are taken exactly at the float w: their float roundoff
     # would leave w* off by up to 1e-13, enough to fail the certificate
@@ -286,6 +327,7 @@ def narrow_design(k_factors: int, lower: int) -> NarrowDesignSpec:
         x = Fraction(w)
         m = MomentSet(0, m2_0 + x * m2_slope, 0, m4_0 + x * m4_slope)
         first, second = log_det_derivatives(K, m, (0, m2_slope, 0, m4_slope))
+        evaluations += 1
         if second >= 0:
             break
         step = first / second
@@ -304,7 +346,9 @@ def narrow_design(k_factors: int, lower: int) -> NarrowDesignSpec:
             f"(max violation {report.max_violation:.3g}); this indicates a bug"
         )
     ld = log_det_symmetric(K, report.moments)
-    return NarrowDesignSpec(K, lower, w, design, ld, d_efficiency_from_log_det(K, ld), report)
+    return NarrowDesignSpec(
+        K, lower, w, design, ld, d_efficiency_from_log_det(K, ld), report, evaluations, first,
+    )
 
 
 @dataclass(frozen=True)

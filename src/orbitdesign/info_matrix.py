@@ -25,6 +25,10 @@ det M = det A (det B)^(K-1) lambda_I^(K(K-3)/2), the blocks of M^-1 are
 the block inverses, and tr(M^-1 D) for an invariant D is the multiplicity
 weighted sum of blockwise traces.  This holds for asymmetric designs too,
 and exact moments keep everything exact.
+
+The structured formulas use only the standard library.  The dense p x p
+assembly (build_s_matrix, assemble_general, assemble_inverse,
+info_matrix_of) is a test oracle for them; it imports numpy when called.
 """
 
 from __future__ import annotations
@@ -35,13 +39,14 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import chain, combinations
 from operator import mul
-from typing import NamedTuple, Union
-
-import numpy as np
+from typing import TYPE_CHECKING, NamedTuple, Union
 
 from .exceptions import OrbitDesignError, SingularDesignError
 from .moments import MomentSet, design_moments
 from .orbits import OrbitDesign
+
+if TYPE_CHECKING:
+    import numpy as np
 
 Numeric = Union[Fraction, float, int]
 
@@ -112,8 +117,11 @@ class RegularityReport:
 def build_s_matrix(k_factors: int) -> np.ndarray:
     """0/1 incidence matrix, one row per interaction pair, ones at its two factors.
 
-    Satisfies S 1 = 2*1, S^T 1 = (K-1) 1 and S^T S = (K-2) I + J.
+    Satisfies S 1 = 2*1, S^T 1 = (K-1) 1 and S^T S = (K-2) I + J.  Needs
+    numpy, like every dense oracle.
     """
+    import numpy as np
+
     dims = model_dims(k_factors)
     s = np.zeros((dims.n_inter, k_factors), dtype=np.int64)
     for row, (a, b) in enumerate(interaction_pairs(k_factors)):
@@ -127,8 +135,10 @@ def assemble_general(k_factors: int, m: MomentSet, *, exact: bool = False) -> In
 
     Handles asymmetric designs (m1, m3 nonzero).  With exact=True the matrix
     has object dtype holding exact rationals, suitable for identity checks;
-    otherwise float64.
+    otherwise float64.  Needs numpy: it is a test oracle for the blocks.
     """
+    import numpy as np
+
     dims = model_dims(k_factors)
     K, n = dims.k_factors, dims.n_inter
     kind = object if exact else np.float64
@@ -342,12 +352,14 @@ def log_det_derivatives(
 def assemble_inverse(k_factors: int, m: MomentSet) -> np.ndarray:
     """Dense float inverse of the information matrix (oracle for the blocks).
 
-    Raises SingularDesignError like inverse_coefficients.
+    Raises SingularDesignError like inverse_coefficients.  Needs numpy.
     """
+    import numpy as np
+
     inverse_coefficients(k_factors, m)
     return np.linalg.inv(assemble_general(k_factors, m.as_floats()).dense)
 
 
 def info_matrix_of(design: OrbitDesign, *, exact: bool = False) -> InfoMatrix:
-    """Convenience: moments then dense assembly for an invariant design."""
+    """Convenience: moments then dense assembly for an invariant design (needs numpy)."""
     return assemble_general(design.k_factors, design_moments(design), exact=exact)

@@ -21,7 +21,8 @@ finite maximum of a quartic over the admitted orbit indices.
 
 A direct summation oracle over enumerated orbits backs all structured
 formulas; it accumulates exact integer Gram matrices per orbit and combines
-them with the orbit weights, so it is exact whenever the weights are.
+them with the orbit weights, so it is exact whenever the weights are.  It
+is the one part of this module that needs numpy, imported when called.
 """
 
 from __future__ import annotations
@@ -29,9 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Union
-
-import numpy as np
+from typing import TYPE_CHECKING, Union
 
 from .exceptions import OrbitDesignError
 from .info_matrix import (
@@ -46,6 +45,9 @@ from .info_matrix import (
 )
 from .moments import MomentSet, design_moments, moment_polynomial
 from .orbits import OrbitDesign, enumerate_orbit, orbit_size
+
+if TYPE_CHECKING:
+    import numpy as np
 
 Numeric = Union[Fraction, float, int]
 
@@ -161,6 +163,8 @@ def d_efficiency(design: OrbitDesign) -> float:
 @lru_cache(maxsize=None)
 def _orbit_gram(k_factors: int, k: int) -> np.ndarray:
     """Exact integer sum of f(x) f(x)^T over orbit k (cached, read-only)."""
+    import numpy as np
+
     pairs = interaction_pairs(k_factors)
     p = model_dims(k_factors).p
     features = np.empty((orbit_size(k_factors, k), p), dtype=np.int64)
@@ -184,8 +188,10 @@ def brute_force_info(
 
     The per-orbit Gram matrices are exact integers, so with rational weights
     and exact=True the result is exact.  Guarded to K <= 12 (override with
-    force=True).
+    force=True).  Needs numpy: it is a test oracle, on no command's path.
     """
+    import numpy as np
+
     K = design.k_factors
     if K > BRUTE_FORCE_MAX_K and not force:
         raise OrbitDesignError(

@@ -14,8 +14,15 @@ import pytest
 
 import orbitdesign
 import orbitdesign.cli
-from orbitdesign import OrbitDesign, assemble_general, design_moments
-from orbitdesign.cli import main
+from orbitdesign import (
+    OrbitDesign,
+    assemble_general,
+    design_moments,
+    enumerate_orbit,
+    optimal_design,
+    orbit_size,
+)
+from orbitdesign.cli import EXPAND_CHUNK_LINES, main
 
 from conftest import feature_vector
 from reference_tables import NARROW_ROWS, WIDE_ROWS
@@ -436,11 +443,35 @@ class TestExpand:
         assert code == 2
         assert "--k" in err
 
-    def test_large_k_enumeration_refused(self, capsys):
-        code, out, err = run_cli(capsys, "expand", "--k", "70", "--lower", "0")
+    def test_large_k_enumeration_refused(self, capsys, tmp_path):
+        csv = tmp_path / "points.csv"
+        code, out, err = run_cli(
+            capsys, "expand", "--k", "70", "--lower", "0", "--csv", str(csv)
+        )
         assert code == 2
         assert out == ""
         assert "factor count must be in 0..64" in err
+        assert not csv.exists()
+
+    def test_output_spanning_chunks(self, capsys, tmp_path):
+        # The central orbit of K = 16 holds 12,870 points, more than one
+        # chunk; stdout and the CSV must equal the lines joined whole.
+        csv = tmp_path / "points.csv"
+        code, out, _ = run_cli(
+            capsys, "expand", "--k", "16", "--lower", "5", "--n", "10000", "--csv", str(csv)
+        )
+        assert code == 0
+        design = optimal_design(16, 5).design
+        assert max(orbit_size(16, k) for k in design.support()) > EXPAND_CHUNK_LINES
+        lines = ["k,point,point_weight,count"]
+        for k, w in sorted(design.weights().items()):
+            weight = float(w) / orbit_size(16, k)
+            for x in enumerate_orbit(16, k):
+                point = "".join("+" if v == 1 else "-" for v in x)
+                lines.append(f"{k},{point},{weight:.17g},{round(10000 * weight)}")
+        expected = "\n".join(lines) + "\n"
+        assert out == expected
+        assert csv.read_text(encoding="utf-8") == expected
 
     def test_one_sided_region_exits_3(self, capsys):
         # At K = 6 the region [5, 6] holds no design of the wide regime.
@@ -451,16 +482,38 @@ class TestExpand:
 
 
 @pytest.mark.parametrize("command", ["verify", "expand"])
-@pytest.mark.parametrize("weight", [float("nan"), float("inf")])
+@pytest.mark.parametrize(
+    "weight", [float("nan"), float("inf"), 10**400], ids=["nan", "inf", "10**400"]
+)
 def test_non_finite_weight_rejected(capsys, tmp_path, command, weight):
     payload = json.loads(json.dumps(K6_NARROW_FILE))
     payload["orbits"][0]["weight"] = weight
-    # json writes these as NaN and Infinity, which json.load accepts.
+    # json writes these as NaN, Infinity and a 401-digit integer literal,
+    # which json.load accepts; the integer is beyond the float range.
     path = write_design(tmp_path / "d.json", payload)
     code, out, err = run_cli(capsys, command, path)
     assert code == 2
     assert out == ""
     assert "invalid weight" in err and "at k=2" in err
+
+
+@pytest.mark.parametrize("command", ["verify", "expand"])
+@pytest.mark.parametrize(
+    "content",
+    [
+        b"\xff\xfe{}",
+        # json.load refuses integer literals over 4,300 digits with ValueError.
+        b'{"k": 6, "lower": 2, "upper": 4, "orbits": [{"k": 2, "weight": 1' + b"0" * 5000 + b"}]}",
+    ],
+    ids=["not-utf8", "5001-digit-weight"],
+)
+def test_unreadable_design_file_rejected(capsys, tmp_path, command, content):
+    path = tmp_path / "d.json"
+    path.write_bytes(content)
+    code, out, err = run_cli(capsys, command, str(path))
+    assert code == 2
+    assert out == ""
+    assert "cannot read design file" in err
 
 
 def test_cli_imports_no_private_names():
@@ -477,19 +530,42 @@ def test_cli_imports_no_private_names():
     assert private == []
 
 
-def run_module(*argv):
-    """`python -m orbitdesign ...` in a child that imports the package under test."""
+def child_env():
+    """Environment for a child interpreter that imports the package under test."""
     src = str(Path(orbitdesign.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return {**os.environ, "PYTHONPATH": path}
+
+
+def run_module(*argv):
+    """`python -m orbitdesign ...` in a child interpreter."""
     return subprocess.run(
         [sys.executable, "-m", "orbitdesign", *argv],
         capture_output=True,
         text=True,
-        env={**os.environ, "PYTHONPATH": path},
+        env=child_env(),
     )
 
 
 class TestEntryPoints:
+    def test_runtime_imports_neither_numpy_nor_scipy(self):
+        # -S leaves site-packages off the path: the package must import from
+        # the standard library alone, and no site hook can load numpy first.
+        proc = subprocess.run(
+            [
+                sys.executable,
+                "-S",
+                "-c",
+                "import sys, orbitdesign, orbitdesign.cli; "
+                "print(sorted({m.split('.')[0] for m in sys.modules} & {'numpy', 'scipy'}))",
+            ],
+            capture_output=True,
+            text=True,
+            env=child_env(),
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
+
     def test_module_invocation(self):
         proc = run_module("tables", "--which", "narrow", "--k", "6")
         assert proc.returncode == 0

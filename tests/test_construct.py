@@ -27,7 +27,7 @@ from orbitdesign import (
     threshold_b,
     wide_design,
 )
-from orbitdesign.construct import admissible_ells
+from orbitdesign.construct import admissible_ells, minimize_scalar
 
 from reference_tables import NARROW_ROWS, WIDE_ROWS
 
@@ -210,6 +210,46 @@ class TestNarrowDesign:
     def test_small_k_rejected(self):
         with pytest.raises(EstimabilityError):
             narrow_design(3, 1)
+
+    def test_solver_trace_on_every_region_up_to_k100(self):
+        for k_factors in range(4, 101):
+            for lower in range(k_factors // 2):
+                if regime(k_factors, lower) != "narrow":
+                    continue
+                spec = narrow_design(k_factors, lower)
+                assert spec.evaluations <= 30, (k_factors, lower, spec.evaluations)
+                assert math.isfinite(spec.residual), (k_factors, lower)
+
+
+class TestMinimizeScalar:
+    def test_converges_inside_the_bracket(self):
+        # -(log w + 2 log(1/2 - w)) is strictly convex on (0, 1/2) and
+        # minimal at w = 1/6.
+        points = []
+
+        def derivatives(w):
+            points.append(w)
+            return -1 / w + 2 / (0.5 - w), 1 / w**2 + 2 / (0.5 - w) ** 2
+
+        w, evaluations = minimize_scalar(derivatives, 0.0, 0.5)
+        assert w == pytest.approx(1 / 6, abs=1e-12)
+        assert evaluations == len(points) <= 30
+        assert all(0 < x < 0.5 for x in points)
+
+    def test_newton_step_leaving_the_bracket_bisects(self):
+        # f with f' = atan(x - 1) is strictly convex and minimal at x = 1.
+        # Plain Newton from the midpoint 10 diverges (its first step lands
+        # near -110), so the search has to bisect before Newton takes over.
+        points = []
+
+        def derivatives(x):
+            points.append(x)
+            return math.atan(x - 1), 1 / (1 + (x - 1) ** 2)
+
+        x, _ = minimize_scalar(derivatives, -10.0, 30.0)
+        assert x == pytest.approx(1, abs=1e-12)
+        assert points[:2] == [10.0, 0.0]
+        assert all(-10 < p < 30 for p in points)
 
 
 class TestAsymmetricReduce:
