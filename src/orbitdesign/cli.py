@@ -20,11 +20,10 @@ Exit codes: 0 success / check passed, 2 usage or file error,
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import sys
 from contextlib import nullcontext
-from itertools import chain, islice
+from itertools import chain
 from typing import Iterator, Optional, Sequence
 
 from .construct import (
@@ -41,7 +40,7 @@ from .exceptions import (
     SingularDesignError,
     UnsupportedRegionError,
 )
-from .orbits import OrbitDesign, Region, enumerate_orbit, orbit_size
+from .orbits import MAX_BINOMIAL_K, OrbitDesign, Region, orbit_blocks, orbit_size
 from .verify import kw_check
 
 EXIT_OK = 0
@@ -56,6 +55,10 @@ NARROW_TABLE_K = tuple(range(4, 23))
 # keeps memory flat in the output size, and whole chunks write faster than
 # single lines.
 EXPAND_CHUNK_LINES = 8192
+
+# expand refuses a design with an orbit of more points than this, the size
+# of the central orbit at K = MAX_BINOMIAL_K.
+MAX_EXPAND_ORBIT_POINTS = math.comb(MAX_BINOMIAL_K, MAX_BINOMIAL_K // 2)
 
 
 def _orbit_rows(design: OrbitDesign) -> list[tuple[int, float, float, int]]:
@@ -96,6 +99,8 @@ def _design_payload(design: OrbitDesign, lower: int, upper: int) -> dict:
 
 
 def _write_design_json(path: str, design: OrbitDesign, lower: int, upper: int) -> None:
+    import json  # only design files need json; commands without one skip its import
+
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(_design_payload(design, lower, upper), fh, indent=2)
         fh.write("\n")
@@ -117,6 +122,8 @@ def _load_design_file(path: str):
     the declared region.  Any invariant design is accepted, sign-symmetric
     or not; verify and expand load the same design.
     """
+    import json  # only design files need json; commands without one skip its import
+
     try:
         with open(path, "r", encoding="utf-8") as fh:
             raw = json.load(fh)
@@ -300,26 +307,42 @@ def _cmd_tables(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _point_string(x: Sequence[int]) -> str:
-    return "".join("+" if entry == 1 else "-" for entry in x)
-
-
 def _expand_chunks(design: OrbitDesign, n: Optional[int]) -> Iterator[str]:
-    """The output of expand in chunks of up to EXPAND_CHUNK_LINES lines.
+    """The output of expand in chunks of about EXPAND_CHUNK_LINES lines.
 
-    The header rides with the first chunk: enumerate_orbit refuses K >
-    MAX_BINOMIAL_K only when its first point is drawn, so a refused
-    expansion fails before anything is written.
+    The first chunk carries the header.  Before it is built, a design with
+    an orbit of more than MAX_EXPAND_ORBIT_POINTS points is refused, so a
+    refused expansion fails on the first draw and writes nothing.  Each
+    orbit comes from orbit_blocks as (prefix, suffixes) blocks; the line
+    endings of a suffix list are built once per orbit, and a block is its
+    prefix joined with them.  A chunk closes after the block that reaches
+    EXPAND_CHUNK_LINES, so it overshoots by less than one block, at most
+    C(10, 5) = 252 lines.
     """
-    header = "k,point,point_weight" + ("" if n is None else ",count") + "\n"
+    for k in design.support():
+        size = orbit_size(design.k_factors, k)
+        if size > MAX_EXPAND_ORBIT_POINTS:
+            raise OrbitDesignError(
+                f"orbit {k} of K = {design.k_factors} has {size} points; "
+                f"expand writes at most {MAX_EXPAND_ORBIT_POINTS} points per orbit"
+            )
+    parts = ["k,point,point_weight" + ("" if n is None else ",count") + "\n"]
+    lines = 0
     for k, _, weight, _ in _orbit_rows(design):
         tail = f",{weight:.17g}" + ("" if n is None else f",{round(n * weight)}") + "\n"
-        points = enumerate_orbit(design.k_factors, k)
-        while chunk := "".join(
-            [f"{k},{_point_string(x)}{tail}" for x in islice(points, EXPAND_CHUNK_LINES)]
-        ):
-            yield header + chunk
-            header = ""
+        endings: dict[tuple[str, ...], list[str]] = {}
+        for prefix, suffixes in orbit_blocks(design.k_factors, k):
+            ends = endings.get(suffixes)
+            if ends is None:
+                ends = endings[suffixes] = [suffix + tail for suffix in suffixes]
+            head = f"{k},{prefix}"
+            parts.append(head + head.join(ends))
+            lines += len(suffixes)
+            if lines >= EXPAND_CHUNK_LINES:
+                yield "".join(parts)
+                parts, lines = [], 0
+    if lines:
+        yield "".join(parts)
 
 
 def _cmd_expand(args: argparse.Namespace) -> int:

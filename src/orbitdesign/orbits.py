@@ -6,6 +6,11 @@ the K factors partitions the cube into the K+1 orbits O_0, ..., O_K, and a
 permutation-invariant design is fully described by one weight per orbit.
 Under the additional sign-flip symmetry, orbits k and K-k are identified
 (symmetric orbits), and symmetric designs carry equal weight on both.
+
+Two listings of an orbit exist.  ``enumerate_orbit`` yields its points as
+tuples.  ``orbit_blocks`` yields the same points in the same order as
+'+'/'-' strings, grouped in blocks that share a prefix, which is what
+``expand`` writes.
 """
 
 from __future__ import annotations
@@ -13,7 +18,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from functools import cache
+from itertools import combinations, product
 from typing import Iterator, Mapping, Union
 
 from .exceptions import OrbitDesignError
@@ -29,6 +35,10 @@ Weight = Union[Fraction, float, int]
 MAX_BINOMIAL_K = 64
 
 WEIGHT_SUM_TOL = 1e-12
+
+# orbit_blocks splits a point into a prefix and its last SUFFIX_LENGTH
+# coordinates, so a block holds at most C(10, 5) = 252 points.
+SUFFIX_LENGTH = 10
 
 
 def active_count(x: DesignPoint) -> int:
@@ -65,6 +75,46 @@ def enumerate_orbit(k_factors: int, k: int) -> Iterator[DesignPoint]:
         for pos in positions:
             point[pos] = 1
         yield tuple(point)
+
+
+@cache
+def _suffix_table(length: int) -> tuple[tuple[str, ...], ...]:
+    """All '+'/'-' strings of the given length, grouped by their '+' count."""
+    table: list[list[str]] = [[] for _ in range(length + 1)]
+    for chars in product("+-", repeat=length):
+        suffix = "".join(chars)
+        table[suffix.count("+")].append(suffix)
+    return tuple(map(tuple, table))
+
+
+def orbit_blocks(k_factors: int, k: int) -> Iterator[tuple[str, tuple[str, ...]]]:
+    """Yield the points of orbit k as blocks (prefix, suffixes).
+
+    A point is written '+' for an active factor and '-' otherwise; the block
+    stands for the points prefix + s, s in suffixes, and its suffixes cover
+    the last min(K, SUFFIX_LENGTH) coordinates.  The points come in the
+    order of enumerate_orbit: for strings of equal '+' count, the order of
+    the +1 positions is string order with '+' before '-'.  Prefixes are
+    walked '+' first with an explicit stack, so any K works; the caller
+    bounds the number of points.
+    """
+    if not 0 <= k <= k_factors:
+        raise OrbitDesignError(f"orbit index must be in 0..{k_factors}, got {k}")
+    width = min(k_factors, SUFFIX_LENGTH)
+    suffixes = _suffix_table(width)
+    # (prefix, prefix coordinates still open, '+' entries still to place)
+    stack = [("", k_factors - width, k)]
+    while stack:
+        prefix, free, active = stack.pop()
+        if free == 0:
+            yield prefix, suffixes[active]
+            continue
+        # Push '-' first so that '+' is walked first; prune a branch whose
+        # remaining '+' count cannot fit its remaining coordinates.
+        if active < free + width:
+            stack.append((prefix + "-", free - 1, active))
+        if active > 0:
+            stack.append((prefix + "+", free - 1, active - 1))
 
 
 @dataclass(frozen=True)

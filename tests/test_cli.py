@@ -22,7 +22,7 @@ from orbitdesign import (
     optimal_design,
     orbit_size,
 )
-from orbitdesign.cli import EXPAND_CHUNK_LINES, main
+from orbitdesign.cli import EXPAND_CHUNK_LINES, MAX_EXPAND_ORBIT_POINTS, main
 
 from conftest import feature_vector
 from reference_tables import NARROW_ROWS, WIDE_ROWS
@@ -450,8 +450,21 @@ class TestExpand:
         )
         assert code == 2
         assert out == ""
-        assert "factor count must be in 0..64" in err
+        assert f"expand writes at most {MAX_EXPAND_ORBIT_POINTS} points per orbit" in err
         assert not csv.exists()
+
+    def test_large_k_small_orbits_expand(self, capsys, tmp_path):
+        # Only the size of the orbits bounds expand, not K.
+        payload = {
+            "k": 70,
+            "lower": 0,
+            "upper": 70,
+            "orbits": [{"k": 0, "weight": 0.5}, {"k": 70, "weight": 0.5}],
+        }
+        path = write_design(tmp_path / "d.json", payload)
+        code, out, _ = run_cli(capsys, "expand", path)
+        assert code == 0
+        assert out == f"k,point,point_weight\n0,{'-' * 70},0.5\n70,{'+' * 70},0.5\n"
 
     def test_output_spanning_chunks(self, capsys, tmp_path):
         # The central orbit of K = 16 holds 12,870 points, more than one
@@ -565,6 +578,36 @@ class TestEntryPoints:
         )
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "[]"
+
+    def test_cli_import_leaves_json_unloaded(self):
+        # Only design files need json; a cold command without one skips its import.
+        proc = subprocess.run(
+            [sys.executable, "-S", "-c",
+             "import sys, orbitdesign.cli; print('json' in sys.modules)"],
+            capture_output=True,
+            text=True,
+            env=child_env(),
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False"
+
+    def test_expand_through_pipe(self):
+        # The cold path of the expand benchmark: bytes read through a pipe.
+        proc = subprocess.run(
+            [sys.executable, "-m", "orbitdesign",
+             "expand", "--k", "18", "--lower", "3", "--n", "1000"],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            env=child_env(),
+        )
+        assert proc.returncode == 0, proc.stderr
+        lines = ["k,point,point_weight,count"]
+        for k, w in sorted(optimal_design(18, 3).design.weights().items()):
+            weight = float(w) / orbit_size(18, k)
+            tail = f",{weight:.17g},{round(1000 * weight)}"
+            for x in enumerate_orbit(18, k):
+                lines.append(f"{k}," + "".join("+" if v == 1 else "-" for v in x) + tail)
+        assert proc.stdout == ("\n".join(lines) + "\n").encode()
 
     def test_module_invocation(self):
         proc = run_module("tables", "--which", "narrow", "--k", "6")

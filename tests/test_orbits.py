@@ -16,6 +16,7 @@ from orbitdesign import (
     orbit_size,
     point_weight,
 )
+from orbitdesign.orbits import orbit_blocks
 
 
 def pascal_binomial(n, k):
@@ -94,6 +95,29 @@ class TestEnumerateOrbit:
                     tuple(i for i, e in enumerate(x) if e == 1) for x in points
                 ]
                 assert subsets == sorted(subsets)
+
+
+class TestOrbitBlocks:
+    def test_matches_enumerate_orbit(self):
+        # K = 0..10 is a single block; K = 11..16 walks prefixes of 1..6 coordinates.
+        for k_factors in range(17):
+            for k in range(k_factors + 1):
+                points = [p + s for p, suffixes in orbit_blocks(k_factors, k) for s in suffixes]
+                expected = [
+                    "".join("+" if v == 1 else "-" for v in x)
+                    for x in enumerate_orbit(k_factors, k)
+                ]
+                assert points == expected, (k_factors, k)
+
+    @pytest.mark.parametrize("k", [0, 1, 2, 62, 63, 64])
+    def test_block_sizes_sum_to_orbit_size_at_k64(self, k):
+        blocks = list(orbit_blocks(64, k))
+        assert sum(len(suffixes) for _, suffixes in blocks) == math.comb(64, k)
+        assert all(len(prefix) == 54 for prefix, _ in blocks)
+
+    def test_out_of_range(self):
+        with pytest.raises(OrbitDesignError):
+            next(orbit_blocks(5, 6))
 
 
 class TestRegion:
