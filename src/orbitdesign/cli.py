@@ -23,6 +23,7 @@ import argparse
 import math
 import sys
 from contextlib import nullcontext
+from fractions import Fraction
 from itertools import chain
 from typing import Iterator, Optional, Sequence
 
@@ -65,8 +66,10 @@ def _orbit_rows(design: OrbitDesign) -> list[tuple[int, float, float, int]]:
     """(k, orbit weight, point weight, orbit size) per supported orbit, ascending k."""
     rows = []
     for k, w in sorted(design.weights().items()):
-        size = orbit_size(design.k_factors, k)
-        rows.append((k, float(w), float(w) / size, size))
+        size, weight = orbit_size(design.k_factors, k), float(w)
+        # An orbit size beyond the float range (K >= 1,030) is divided exactly.
+        point = weight / size if size <= sys.float_info.max else float(Fraction(weight) / size)
+        rows.append((k, weight, point, size))
     return rows
 
 

@@ -41,6 +41,7 @@ from .exceptions import (
     WrongRegimeError,
 )
 from .info_matrix import d_efficiency_from_log_det, log_det_derivatives, log_det_symmetric
+from .info_matrix import moment_derivative
 from .moments import MomentSet, design_moments, orbit_moment
 from .orbits import OrbitDesign, Region, orbit_size
 from .verify import KwReport, kw_check
@@ -312,10 +313,12 @@ def narrow_design(k_factors: int, lower: int) -> NarrowDesignSpec:
     m2_slope = 2 * (orbit_moment(K, lower, 2) - m2_0)
     m4_slope = 2 * (orbit_moment(K, lower, 4) - m4_0)
     f2_0, f2_slope, f4_0, f4_slope = map(float, (m2_0, m2_slope, m4_0, m4_slope))
+    float_direction = moment_derivative(K, (0.0, f2_slope, 0.0, f4_slope))
+    exact_direction = moment_derivative(K, (0, m2_slope, 0, m4_slope))
 
     def negated_derivatives(w: float) -> tuple[float, float]:
         m = MomentSet(0.0, f2_0 + w * f2_slope, 0.0, f4_0 + w * f4_slope)
-        first, second = log_det_derivatives(K, m, (0.0, f2_slope, 0.0, f4_slope))
+        first, second = log_det_derivatives(K, m, float_direction)
         return -first, -second
 
     w, evaluations = minimize_scalar(negated_derivatives, 0.0, 0.5)
@@ -326,7 +329,7 @@ def narrow_design(k_factors: int, lower: int) -> NarrowDesignSpec:
     for _ in range(3):
         x = Fraction(w)
         m = MomentSet(0, m2_0 + x * m2_slope, 0, m4_0 + x * m4_slope)
-        first, second = log_det_derivatives(K, m, (0, m2_slope, 0, m4_slope))
+        first, second = log_det_derivatives(K, m, exact_direction)
         evaluations += 1
         if second >= 0:
             break

@@ -38,7 +38,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import chain, combinations
-from operator import mul
+from operator import floordiv, mul, truediv
 from typing import TYPE_CHECKING, NamedTuple, Union
 
 from .exceptions import OrbitDesignError, SingularDesignError
@@ -197,15 +197,13 @@ def moment_direction(k_factors: int, j: int) -> tuple[int, ...]:
     return tuple(block.mult * v for block in blocks for col in zip(*block.matrix) for v in col)
 
 
-def moment_traces(k_factors: int, inverse: tuple[Block, ...]) -> tuple[Numeric, ...]:
-    """g_0 = tr(M^-1) and g_j = tr(M^-1 dM/dm_j), j = 1..4, from the blocks of M^-1.
-
-    An exact inverse is brought to a common denominator once, so each trace
-    runs in integers and costs a single division.
-    """
-    scale, flat = common_scale([x for block in inverse for row in block.matrix for x in row])
-    traces = (sum(map(mul, flat, moment_direction(k_factors, j))) for j in range(5))
-    return tuple(_ratio(trace, scale) for trace in traces)
+def moment_traces(k_factors: int, inverse: tuple[tuple[Block, ...], Numeric]):
+    """g_0 = tr(M^-1) and g_j = tr(M^-1 dM/dm_j), j = 1..4, from M^-1 as
+    inverse_coefficients gives it: (numerators, its denominator L), each
+    numerator a dot product with moment_direction, in integers if exact."""
+    blocks, denominator = inverse
+    flat = [x for block in blocks for row in block.matrix for x in row]
+    return tuple(sum(map(mul, flat, moment_direction(k_factors, j))) for j in range(5)), denominator
 
 
 def _adjugate(a: tuple[tuple[Numeric, ...], ...]):
@@ -232,13 +230,6 @@ def common_scale(values) -> tuple[Numeric, list]:
         return 1.0, list(values)
     scale = math.lcm(*(v.denominator for v in values))
     return scale, [v.numerator * (scale // v.denominator) for v in values]
-
-
-def _ratio(numerator: Numeric, denominator: Numeric) -> Numeric:
-    """numerator / denominator, as an exact Fraction for integers."""
-    if isinstance(denominator, int):
-        return Fraction(numerator, denominator)
-    return numerator / denominator
 
 
 def _factored_blocks(k_factors: int, m: MomentSet):
@@ -310,34 +301,41 @@ def regularity(design: OrbitDesign, k_factors: int | None = None) -> RegularityR
     return RegularityReport(not failing, tuple(failing), support)
 
 
-def inverse_coefficients(k_factors: int, m: MomentSet) -> tuple[Block, ...]:
-    """Blocks of M^-1, the inverses of the blocks of M (exact for exact moments).
-
-    Raises SingularDesignError naming the first block whose determinant vanishes.
-    """
+def inverse_coefficients(k_factors: int, m: MomentSet) -> tuple[tuple[Block, ...], Numeric]:
+    """M^-1 as (blocks, L), M^-1 = blocks / L.  For exact moments L is the lcm
+    of the block determinants of D M (D the moments' common denominator) and
+    the entries D adj(D M) L / det are integers; for float moments L = 1.0.
+    Raises SingularDesignError naming the first singular block."""
     scale, factored = _factored_blocks(k_factors, m)
-    inverse = []
-    for block, adjugate, det in factored:
+    for block, _, det in factored:
         if not det:
             raise _singular(block)
-        matrix = tuple(tuple(_ratio(scale * x, det) for x in row) for row in adjugate)
-        inverse.append(block._replace(matrix=matrix))
-    return tuple(inverse)
+    exact = isinstance(scale, int)
+    denominator = math.lcm(*(det for _, _, det in factored)) if exact else scale
+    divide, numerator = floordiv if exact else truediv, scale * denominator
+    return tuple(
+        block._replace(matrix=tuple(tuple(divide(numerator * x, det) for x in row) for row in adj))
+        for block, adj, det in factored
+    ), denominator
 
 
-def log_det_derivatives(
-    k_factors: int, m: MomentSet, dm: tuple[Numeric, Numeric, Numeric, Numeric]
-) -> tuple[float, float]:
-    """First and second derivative of log det M along the moment direction dm.
+def moment_derivative(k_factors: int, dm: tuple[Numeric, ...]) -> tuple[Numeric, tuple[Block, ...]]:
+    """A scale E and the blocks of E dM along the moment direction dm."""
+    dscale, dmoments = common_scale(dm)
+    return dscale, information_blocks(k_factors, *dmoments, one=0)
+
+
+def log_det_derivatives(k_factors: int, m: MomentSet, direction) -> tuple[float, float]:
+    """First and second derivative of log det M along direction = moment_derivative(K, dm).
 
     They are tr(M^-1 dM) and -tr((M^-1 dM)^2), taken block by block with
     M^-1 = D adj(D M) / det(D M).  For exact arguments every block term is
     exact until its final rounding to float.
     """
     scale, factored = _factored_blocks(k_factors, m)
-    dscale, dmoments = common_scale(dm)
+    dscale, dblocks = direction
     first = second = 0.0
-    for (block, adjugate, det), d in zip(factored, information_blocks(k_factors, *dmoments, one=0)):
+    for (block, adjugate, det), d in zip(factored, dblocks):
         if not det:
             raise _singular(block)
         columns = tuple(zip(*d.matrix))

@@ -3,7 +3,7 @@
 For the uniform design on orbit k the information matrix has only four
 distinct off-diagonal entries, the moments m_1..m_4: the average over the
 orbit of products of 1, 2, 3 or 4 distinct coordinates.  With t = 2k - K
-they have the closed forms
+they have the closed forms m_j = P_j(t) / d_j (``moment_polynomial``),
 
     m_1 = t / K
     m_2 = (t^2 - K) / (K (K-1))
@@ -15,8 +15,8 @@ sign patterns directly:
 
     m_j = C(K,k)^-1 * sum_i (-1)^(i+j) C(j,i) C(K-j, k-i).
 
-Both are computed in exact rational arithmetic; mixtures are linear in the
-orbit weights.
+Mixtures are linear in the orbit weights, so a design's moments follow from
+integer power sums of t over its weights (``design_moments``).
 """
 
 from __future__ import annotations
@@ -24,6 +24,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 from typing import Union
 
 from .exceptions import OrbitDesignError
@@ -79,10 +80,7 @@ def orbit_moment(k_factors: int, k: int, j: int) -> Fraction:
     _check_args(k_factors, k, j)
     coeffs, denom = moment_polynomial(k_factors, j)
     t = 2 * k - k_factors
-    numerator = 0
-    for c in reversed(coeffs):
-        numerator = numerator * t + c
-    return Fraction(numerator, denom)
+    return Fraction(sum(c * t**i for i, c in enumerate(coeffs)), denom)
 
 
 def orbit_moment_sum(k_factors: int, k: int, j: int) -> Fraction:
@@ -104,21 +102,20 @@ def orbit_moment_sum(k_factors: int, k: int, j: int) -> Fraction:
 
 
 def design_moments(design: OrbitDesign) -> MomentSet:
-    """Exact moments of an invariant design: weight-linear mixture of orbit moments.
+    """Exact moments of an invariant design; the immutable design keeps them.
 
-    Float weights enter as the binary rationals they are, rescaled to sum
-    to exactly 1, so the moments, and every certificate computed from them,
-    are exact for the design as stored.  Structurally symmetric designs get
-    exact zero odd moments instead of a sum of cancelling mirror terms.
+    Over the lcm of their denominators (a float is the binary rational it is)
+    the weights are integers n_k.  With the integer power sums S_i = sum_k n_k
+    t_k^i, m_j = sum_i c_i S_i / (d_j S_0) for P_j(t) = sum_i c_i t^i, one
+    Fraction each: exact for the design as stored, rescaled to total weight 1.
     """
-    K = design.k_factors
-    weights = {k: Fraction(w) for k, w in design.weights().items()}
-    total = sum(weights.values())
-
-    def mix(j: int) -> Fraction:
-        moment = sum(w * orbit_moment(K, k, j) for k, w in weights.items())
-        return moment if total == 1 else moment / total
-
-    if design.symmetric:
-        return MomentSet(Fraction(0), mix(2), Fraction(0), mix(4))
-    return MomentSet(mix(1), mix(2), mix(3), mix(4))
+    if design._moments is None:
+        K = design.k_factors
+        ratios = [(2 * k - K, w.as_integer_ratio()) for k, w in design.weights().items()]
+        scale = math.lcm(*(d for _, (_, d) in ratios))
+        weights = [(t, n * (scale // d)) for t, (n, d) in ratios]
+        sums = [sum(n * t**i for t, n in weights) for i in range(5)]
+        polys = (moment_polynomial(K, j) for j in range(1, 5))
+        moments = MomentSet(*(Fraction(sum(map(mul, c, sums)), d * sums[0]) for c, d in polys))
+        object.__setattr__(design, "_moments", moments)
+    return design._moments

@@ -151,10 +151,10 @@ class OrbitDesign:
     Weights are per orbit (the weight of an individual point is the orbit
     weight divided by the orbit size).  Symmetric designs -- equal weight on
     orbits k and K-k -- store only the half k <= K//2 and mirror on read, so
-    the mirror equality cannot drift.
+    the mirror equality cannot drift.  It keeps the moments design_moments gives.
     """
 
-    __slots__ = ("k_factors", "symmetric", "_folded")
+    __slots__ = ("k_factors", "symmetric", "_folded", "_moments")
 
     def __init__(
         self,
@@ -180,6 +180,7 @@ class OrbitDesign:
         object.__setattr__(self, "k_factors", k_factors)
         object.__setattr__(self, "symmetric", symmetric)
         object.__setattr__(self, "_folded", folded)
+        object.__setattr__(self, "_moments", None)
         total = sum(self.weights().values())
         if abs(total - 1) > WEIGHT_SUM_TOL:
             raise OrbitDesignError(f"orbit weights must sum to 1, got {total}")

@@ -19,6 +19,12 @@ and for sign-symmetric designs g_1 = g_3 = 0, so a1 = a3 = 0 and the
 quartic is even.  Checking optimality on a region therefore reduces to a
 finite maximum of a quartic over the admitted orbit indices.
 
+For exact moments the certificate runs in integers over one denominator:
+M^-1 as integer blocks over L (inverse_coefficients), the traces g_j as
+numerators over L (moment_traces), and the quartic as five numerators over
+L D, D the lcm of the moment denominators d_j (sensitivity_poly).  kw_check
+scans those integers and rounds once per reported value.
+
 A direct summation oracle over enumerated orbits backs all structured
 formulas; it accumulates exact integer Gram matrices per orbit and combines
 them with the orbit weights, so it is exact whenever the weights are.  It
@@ -27,6 +33,7 @@ is the one part of this module that needs numpy, imported when called.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -35,7 +42,6 @@ from typing import TYPE_CHECKING, Union
 from .exceptions import OrbitDesignError
 from .info_matrix import (
     InfoMatrix,
-    common_scale,
     d_efficiency_from_log_det,
     inverse_coefficients,
     interaction_pairs,
@@ -56,19 +62,27 @@ BRUTE_FORCE_MAX_K = 12
 
 @dataclass(frozen=True)
 class SensitivityPoly:
-    """Quartic in t = 2k - K giving the sensitivity value on each orbit."""
+    """Quartic in t = 2k - K giving the sensitivity value on each orbit, as
+    numerators c_0..c_4 over one denominator (integers for exact moments);
+    the coefficients a_i = c_i / denominator are Fractions for exact moments."""
 
     k_factors: int
-    a0: Numeric
-    a1: Numeric
-    a2: Numeric
-    a3: Numeric
-    a4: Numeric
+    numerators: tuple[Numeric, ...]
+    denominator: Numeric
+
+    a0, a1, a2, a3, a4 = (
+        property(lambda self, i=i: _ratio(self.numerators[i], self.denominator)) for i in range(5)
+    )
+
+    def numerator(self, k: int) -> Numeric:
+        """psi_tilde(k) times the denominator, for orbit index k."""
+        c0, c1, c2, c3, c4 = self.numerators
+        t = 2 * k - self.k_factors
+        return (((c4 * t + c3) * t + c2) * t + c1) * t + c0
 
     def value(self, k: int) -> Numeric:
         """psi_tilde(k) for orbit index k."""
-        t = 2 * k - self.k_factors
-        return (((self.a4 * t + self.a3) * t + self.a2) * t + self.a1) * t + self.a0
+        return _ratio(self.numerator(k), self.denominator)
 
 
 @dataclass(frozen=True)
@@ -98,24 +112,25 @@ class KwReport:
         )
 
 
-def sensitivity_poly(k_factors: int, m: MomentSet) -> SensitivityPoly:
-    """Coefficients of the orbitwise sensitivity quartic for invariant moments.
+def _ratio(numerator: Numeric, denominator: Numeric) -> Numeric:
+    """numerator / denominator, as an exact Fraction for integers."""
+    if isinstance(denominator, int):
+        return Fraction(numerator, denominator)
+    return numerator / denominator
 
-    Exact rational when the moments are exact; then a1 = a3 = 0 exactly for
-    symmetric moments.  Raises SingularDesignError for singular moments.
-    """
-    K = k_factors
-    g0, *traces = moment_traces(K, inverse_coefficients(K, m))
-    coeffs = [g0] + [g0 * 0] * 4
-    for j, trace in enumerate(traces, start=1):
-        if not trace:
-            continue
-        numer, denom = moment_polynomial(K, j)
-        g = trace / denom
-        for i, c in enumerate(numer):
-            if c:
-                coeffs[i] += g * c
-    return SensitivityPoly(K, *coeffs)
+
+def sensitivity_poly(k_factors: int, m: MomentSet) -> SensitivityPoly:
+    """The orbitwise sensitivity quartic for invariant moments, as numerators
+    over L D: integers for exact moments, and then a1 = a3 = 0 exactly for
+    symmetric moments.  Raises SingularDesignError for singular moments."""
+    traces, denominator = moment_traces(k_factors, inverse_coefficients(k_factors, m))
+    polys = [((1,), 1)] + [moment_polynomial(k_factors, j) for j in range(1, 5)]
+    scale = math.lcm(*(d for _, d in polys))
+    numerators = [0] * 5
+    for g, (coeffs, d) in zip(traces, polys):
+        for i, c in enumerate(coeffs):
+            numerators[i] += g * c * (scale // d)
+    return SensitivityPoly(k_factors, tuple(numerators), denominator * scale)
 
 
 def kw_check(
@@ -143,11 +158,10 @@ def kw_check(
     poly = sensitivity_poly(K, m)
     p = model_dims(K).p
 
-    # The moments are exact, so the quartic is: over a common denominator
+    # The moments are exact, so the quartic is integers over one denominator:
     # the scan runs in integers and rounds once per reported value.
-    scale, coeffs = common_scale((poly.a0, poly.a1, poly.a2, poly.a3, poly.a4))
-    scaled = SensitivityPoly(K, *coeffs)
-    values = {k: scaled.value(k) for k in range(lower, upper + 1)}
+    scale = poly.denominator
+    values = {k: poly.numerator(k) for k in range(lower, upper + 1)}
     argmax = max(values, key=values.get)
     per_orbit = {k: value / scale for k, value in values.items()}
     max_violation = (values[argmax] - p * scale) / scale

@@ -3,28 +3,51 @@
 The traced run wraps the functions listed in ``perfbench/tracer.py``
 ``LAYERS``, and ``perfbench/jobs.py`` calls ``orbitdesign.<name>``; a
 renamed or deleted function makes a benchmark run fail, which no other
-test would show.  Both files are parsed, not imported.
+test would show.  A function that still exists but is no longer called
+makes its per-layer metric read 0, so the solve layers are also run.
+Both files are parsed, not imported.
 """
 
 from __future__ import annotations
 
 import ast
 import importlib
+import sys
+from collections import Counter
 from pathlib import Path
 
+import orbitdesign
+
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+# The traced layers a solve-sweep operation reaches, wide or narrow.
+SOLVE_LAYERS = (
+    "construct.wide_design",
+    "construct.narrow_design",
+    "construct.minimize_scalar",
+    "verify.kw_check",
+    "verify.sensitivity_poly",
+    "info_matrix.inverse_coefficients",
+    "info_matrix.log_det_symmetric",
+    "moments.design_moments",
+    "moments.orbit_moment",
+)
 
 
 def parse(name):
     return ast.parse((PERFBENCH / name).read_text(encoding="utf-8"))
 
 
-def test_traced_layers_exist():
-    layers = next(
+def traced_layers():
+    return next(
         ast.literal_eval(node.value)
         for node in parse("tracer.py").body
         if isinstance(node, ast.Assign) and [t.id for t in node.targets] == ["LAYERS"]
     )
+
+
+def test_traced_layers_exist():
+    layers = traced_layers()
     assert layers
     for module_name, names in layers.items():
         module = importlib.import_module(f"orbitdesign.{module_name}")
@@ -56,3 +79,36 @@ def test_job_bindings_exist():
                 target = getattr(target, attr)
             checked += 1
     assert checked
+
+
+def test_solve_layers_are_called(monkeypatch):
+    # Wrap every binding of each traced function in every orbitdesign
+    # module, as the tracer does, so nested calls through
+    # ``from .x import y`` bindings are counted too.
+    layers = {
+        id(getattr(importlib.import_module(f"orbitdesign.{short}"), name)): f"{short}.{name}"
+        for short, names in traced_layers().items()
+        for name in names
+    }
+    calls = Counter()
+
+    def counting(layer, fn):
+        def wrapper(*args, **kwargs):
+            calls[layer] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    for module_name, module in list(sys.modules.items()):
+        if module_name == "orbitdesign" or module_name.startswith("orbitdesign."):
+            for attr, value in list(vars(module).items()):
+                layer = layers.get(id(value))
+                if layer is not None:
+                    monkeypatch.setattr(module, attr, counting(layer, value))
+
+    # The two operations of the solve-sweep workload, as perfbench/jobs.py runs them.
+    spec = orbitdesign.wide_design(20, 3)
+    assert orbitdesign.kw_check(spec.design, 3, 17).passed
+    assert orbitdesign.narrow_design(20, 8).kw_report.passed
+    assert set(SOLVE_LAYERS) <= set(layers.values())
+    assert not [layer for layer in SOLVE_LAYERS if calls[layer] == 0]

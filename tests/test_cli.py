@@ -7,6 +7,7 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -145,6 +146,21 @@ class TestOptimal:
         assert code == 0
         assert out.splitlines()[-1].endswith("-> PASS")
         assert err == ""
+
+    def test_orbit_sizes_beyond_float_range(self, capsys, tmp_path):
+        # C(1030, 515) > 1.8e308: the central point weights are subnormal
+        # floats, computed without converting the orbit size to a float.
+        path = tmp_path / "design.csv"
+        code, out, err = run_cli(
+            capsys, "optimal", "--k", "1030", "--lower", "0", "--csv", str(path)
+        )
+        assert code == 0 and err == ""
+        assert out.splitlines()[-1].endswith("-> PASS")
+        rows = [line.split(",") for line in path.read_text(encoding="utf-8").splitlines()[1:]]
+        assert [int(k) for k, *_ in rows] == [0, 488, 515, 542, 1030]
+        for _, orbit_weight, point_weight, size in rows:
+            exact = Fraction(float(orbit_weight)) / int(size)
+            assert float(point_weight) == float(exact) > 0
 
     def test_tight_tolerance_fails(self, capsys):
         # The certificate is exact; 1e-20 is below its rounding to float.

@@ -1,0 +1,212 @@
+"""The integer certificate path against Fraction references and frozen results.
+
+design_moments, inverse_coefficients, sensitivity_poly and kw_check carry
+integer numerators over one denominator.  These tests check that path
+against plain Fraction arithmetic on independent formulas, and pin the
+narrow w* and the certificates of a fixed list of regions, so that a change
+of the arithmetic cannot move a reported value.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import random
+from fractions import Fraction
+
+import pytest
+
+import orbitdesign.construct
+import orbitdesign.moments
+from orbitdesign import (
+    OrbitDesign,
+    design_moments,
+    kw_check,
+    model_dims,
+    narrow_design,
+    orbit_moment_sum,
+    wide_design,
+)
+from orbitdesign.info_matrix import information_blocks
+
+
+def random_design(rng, k_factors, rational, symmetric):
+    """Full-support design with random float or small-rational weights."""
+    orbits = range(k_factors // 2 + 1) if symmetric else range(k_factors + 1)
+    if rational:
+        raw = {k: Fraction(rng.randint(1, 30)) for k in orbits}
+    else:
+        raw = {k: rng.random() + 0.01 for k in orbits}
+    mass = {k: 1 if symmetric and 2 * k == k_factors else 2 for k in orbits}
+    total = sum(w * (mass[k] if symmetric else 1) for k, w in raw.items())
+    return OrbitDesign(k_factors, {k: w / total for k, w in raw.items()}, symmetric=symmetric)
+
+
+def designs_k2_to_30():
+    rng = random.Random(1212)
+    return [
+        random_design(rng, k_factors, rational, symmetric)
+        for k_factors in range(2, 31)
+        for rational in (False, True)
+        for symmetric in (False, True)
+    ]
+
+
+def fraction_moments(design):
+    """Moments as the Fraction mixture of orbit_moment_sum, divided by the total."""
+    weights = {k: Fraction(w) for k, w in design.weights().items()}
+    total = sum(weights.values())
+    return tuple(
+        sum(w * orbit_moment_sum(design.k_factors, k, j) for k, w in weights.items()) / total
+        for j in range(1, 5)
+    )
+
+
+def fraction_inverse(matrix):
+    """Gauss-Jordan inverse in Fractions."""
+    n = len(matrix)
+    rows = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
+            for i, row in enumerate(matrix)]
+    for col in range(n):
+        pivot = next(r for r in range(col, n) if rows[r][col] != 0)
+        rows[col], rows[pivot] = rows[pivot], rows[col]
+        lead = rows[col][col]
+        rows[col] = [x / lead for x in rows[col]]
+        for r in range(n):
+            if r != col and rows[r][col] != 0:
+                factor = rows[r][col]
+                rows[r] = [a - factor * b for a, b in zip(rows[r], rows[col])]
+    return [row[n:] for row in rows]
+
+
+def fraction_psi(design):
+    """psi(k) = tr(M^-1 M(k)) for every orbit k, block by block in
+    Fractions, with M(k) the information matrix of orbit k from
+    orbit_moment_sum."""
+    K = design.k_factors
+    inverses = [
+        (fraction_inverse(block.matrix), block.mult)
+        for block in information_blocks(K, *fraction_moments(design))
+    ]
+    psi = {}
+    for k in range(K + 1):
+        orbit = information_blocks(K, *(orbit_moment_sum(K, k, j) for j in range(1, 5)))
+        psi[k] = sum(
+            mult * sum(
+                a * b for row, col in zip(inverse, zip(*other.matrix)) for a, b in zip(row, col)
+            )
+            for (inverse, mult), other in zip(inverses, orbit)
+        )
+    return psi
+
+
+class TestIntegerPath:
+    def test_design_moments_equal_fraction_mixture(self):
+        for design in designs_k2_to_30():
+            m = design_moments(design)
+            assert (m.m1, m.m2, m.m3, m.m4) == fraction_moments(design), design
+
+    def test_kw_check_equals_fraction_scan(self):
+        for design in designs_k2_to_30():
+            K = design.k_factors
+            report = kw_check(design, 0, K)
+            psi = fraction_psi(design)
+            p = model_dims(K).p
+            assert report.per_orbit == {k: float(value) for k, value in psi.items()}, design
+            peak = max(psi.values())
+            assert report.argmax_orbit == min(k for k, value in psi.items() if value == peak)
+            assert report.max_violation == float(peak - p)
+
+    def test_design_keeps_its_moments(self):
+        design = wide_design(20, 3).design
+        assert design_moments(design) is design_moments(design)
+
+    def test_wide_solve_evaluates_moments_once(self, monkeypatch):
+        calls = []
+        original = orbitdesign.moments.moment_polynomial
+
+        def counting(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(orbitdesign.moments, "moment_polynomial", counting)
+        spec = wide_design(30, 4)
+        kw_check(spec.design, 4, 26)
+        # One pass over the four moments of the design, none for kw_check.
+        assert sorted(calls) == [(30, 1), (30, 2), (30, 3), (30, 4)]
+
+    def test_narrow_search_builds_its_direction_once(self, monkeypatch):
+        calls = []
+        original = orbitdesign.construct.moment_derivative
+
+        def counting(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(orbitdesign.construct, "moment_derivative", counting)
+        spec = narrow_design(40, 17)
+        assert spec.evaluations > 2
+        # One float direction for the search and one exact for the polishing.
+        assert len(calls) == 2
+
+
+def per_orbit_digest(report):
+    text = ";".join(f"{k}:{v.hex()}" for k, v in sorted(report.per_orbit.items()))
+    return hashlib.sha256(text.encode()).hexdigest()[:16]
+
+
+# Taken from the Fraction-based implementation this integer path replaced:
+# (K, L, w*, evaluations, residual, log det, max_violation, argmax, digest of
+# per_orbit).  (76, 37) and (100, 49) once failed their certificate.
+NARROW_FROZEN = [
+    (6, 2, '0x1.8bcbb7cd7e1eep-2', 7, '0x1.4000000000000p-47',
+     '-0x1.56de275b92c58p+1', '0x1.0ca92bd8b5931p-52', 2, '24b8d6848af86da7'),
+    (20, 8, '0x1.baedfb66ecb67p-2', 9, '0x0.0p+0',
+     '-0x1.82b1642d795aep+1', '0x1.3cdf2c46c52bap-51', 10, 'e8a2712deb0eef0d'),
+    (40, 17, '0x1.c7417ebdf730cp-2', 9, '0x1.0000000000000p-46',
+     '-0x1.6b910df0974ecp+1', '0x1.45b0e2df370e8p-52', 17, 'b572951885708005'),
+    (76, 31, '0x1.8b61949559622p-3', 7, '0x0.0p+0',
+     '-0x1.8179aea4fc3fcp-6', '0x1.a56616ef86518p-46', 31, '6f78c14b61984a1a'),
+    (76, 37, '0x1.f915f78fd9013p-2', 12, '0x1.f200000000000p-43',
+     '-0x1.42734976acfcap+7', '0x1.b41d5a84e1c55p-50', 37, '30d885cb6a34bb23'),
+    (82, 34, '0x1.a9cc6864383cbp-3', 6, '0x0.0p+0',
+     '-0x1.c882e3bbd47dcp-5', '0x1.4783e2a64857dp-46', 34, '594a2802d3e32723'),
+    (82, 40, '0x1.f99a9008c96dfp-2', 12, '-0x1.4880000000000p-41',
+     '-0x1.66b232c59986ap+7', '0x1.45e2d0a2d3edap-42', 41, '5f358dbadfb22fa6'),
+    (100, 43, '0x1.028f39edf022cp-2', 6, '0x0.0p+0',
+     '-0x1.ab7e51464e18ap-3', '0x1.f9d598a950b64p-49', 50, '1a1872d0cc815b44'),
+    (100, 46, '0x1.f2e3a99122c0bp-2', 12, '-0x1.4000000000000p-43',
+     '-0x1.a64250590547cp+3', '0x1.341c0044f35efp-44', 50, '92463e2d2926f074'),
+    (100, 49, '0x1.fac70f693006ep-2', 12, '-0x1.1000000000000p-42',
+     '-0x1.d84cf37c6cbe7p+7', '0x1.ce18b7e14ebb1p-44', 50, '4edac9607ece7244'),
+]
+
+# (K, L, max_violation, argmax, digest of per_orbit) of kw_check on wide_design.
+WIDE_FROZEN = [
+    (12, 1, '0x0.0p+0', 1, '57f6b6357e7b9fcb'),
+    (22, 7, '0x0.0p+0', 7, '68c49264e920fa58'),
+    (76, 0, '0x0.0p+0', 0, '97a8476f7e296293'),
+    (100, 30, '0x0.0p+0', 30, '48b542774de792c6'),
+]
+
+
+@pytest.mark.parametrize(
+    "k_factors, lower, w_star, evaluations, residual, log_det, violation, argmax, digest",
+    NARROW_FROZEN,
+)
+def test_narrow_results_are_frozen(
+    k_factors, lower, w_star, evaluations, residual, log_det, violation, argmax, digest
+):
+    spec = narrow_design(k_factors, lower)
+    report = spec.kw_report
+    assert spec.w_star.hex() == w_star
+    assert (spec.evaluations, spec.residual.hex()) == (evaluations, residual)
+    assert spec.log_det.hex() == log_det
+    assert (report.max_violation.hex(), report.argmax_orbit) == (violation, argmax)
+    assert per_orbit_digest(report) == digest
+
+
+@pytest.mark.parametrize("k_factors, lower, violation, argmax, digest", WIDE_FROZEN)
+def test_wide_certificates_are_frozen(k_factors, lower, violation, argmax, digest):
+    report = kw_check(wide_design(k_factors, lower).design, lower, k_factors - lower)
+    assert (report.max_violation.hex(), report.argmax_orbit) == (violation, argmax)
+    assert per_orbit_digest(report) == digest
