@@ -17,10 +17,8 @@ from .exceptions import (
     WrongRegimeError,
 )
 from .orbits import (
-    DesignPoint,
     OrbitDesign,
     Region,
-    active_count,
     enumerate_orbit,
     orbit_size,
     point_weight,
@@ -56,13 +54,11 @@ from .verify import (
     KwReport,
     SensitivityPoly,
     brute_force_info,
-    d_efficiency,
     kw_check,
     sensitivity_poly,
 )
 
 __all__ = [
-    "DesignPoint",
     "EstimabilityError",
     "InfoMatrix",
     "KwReport",
@@ -79,12 +75,10 @@ __all__ = [
     "UnsupportedRegionError",
     "WideDesignSpec",
     "WrongRegimeError",
-    "active_count",
     "assemble_general",
     "assemble_inverse",
     "brute_force_info",
     "build_s_matrix",
-    "d_efficiency",
     "design_moments",
     "enumerate_orbit",
     "full_factorial",

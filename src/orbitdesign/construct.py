@@ -17,8 +17,11 @@ one intermediate pair.  For B_K < L < K/2 ("narrow" bounds) the identity is
 unattainable and the optimal design puts an optimized weight w* on each
 outermost orbit with the remainder on the central orbit(s); w* maximizes
 the log determinant over (0, 1/2).  That objective is strictly concave and
-falls to -inf at both ends, so a safeguarded Newton search on its
-derivatives (``minimize_scalar``) finds w* with the standard library alone.
+falls to -inf at both ends.  Its block determinants are integer
+polynomials in w, so a safeguarded Newton search (``minimize_scalar``) on
+float evaluations of their logarithmic derivatives comes within a few ulps
+of w*, and the exact sign of d(log det)/dw = 2 (psi(L) - psi(c)) at
+half-ulp midpoints then picks the double nearest the exact optimum.
 Asymmetric bounds [L, U] reduce to the stricter side max(L, K - U) when
 that side is wide.
 
@@ -40,14 +43,13 @@ from .exceptions import (
     UnsupportedRegionError,
     WrongRegimeError,
 )
-from .info_matrix import d_efficiency_from_log_det, log_det_derivatives, log_det_symmetric
-from .info_matrix import moment_derivative
+from .info_matrix import d_efficiency_from_log_det, determinant_polynomials, log_det_symmetric
 from .moments import MomentSet, design_moments, orbit_moment
 from .orbits import OrbitDesign, Region, orbit_size
-from .verify import KwReport, kw_check
+from .verify import KwReport, kw_check, sensitivity_poly
 
-# The narrow search stops on a step shorter than this; the exact Newton
-# polishing after it takes w* the rest of the way.  The evaluation cap only
+# The narrow search stops on a step shorter than this; exact signs at
+# half-ulp midpoints take w* the rest of the way.  The evaluation cap only
 # guards against derivatives that never settle.
 SEARCH_XTOL = 1e-12
 SEARCH_MAX_EVALUATIONS = 100
@@ -262,8 +264,9 @@ def minimize_scalar(
 class NarrowDesignSpec:
     """Optimized two-symmetric-orbit design for narrow bounds.
 
-    evaluations counts the derivative evaluations of the search and the
-    polishing together; residual is d(log det)/dw at the last of them.
+    w_star is the double nearest the exact optimum.  evaluations counts the
+    float derivative evaluations of the search and the exact sign
+    evaluations together; residual is the float d(log det)/dw at w_star.
     """
 
     k_factors: int
@@ -281,11 +284,15 @@ def narrow_design(k_factors: int, lower: int) -> NarrowDesignSpec:
     """Optimal design on [L, K-L] for B_K < L < K/2.
 
     Weight w* on each of the two outermost orbits, remainder on the central
-    orbit(s).  w* maximizes the log determinant over (0, 1/2): a safeguarded
-    Newton search on its float derivatives (minimize_scalar) brackets it,
-    and Newton steps on exact derivatives polish the stationarity condition.
-    The returned design is certified by the equivalence-theorem check; the
-    spec also records the derivative evaluations and the final residual.
+    orbit(s).  w* maximizes the log determinant over (0, 1/2).  A
+    safeguarded Newton search (minimize_scalar) runs on float Horner
+    evaluations of the block-determinant polynomials; from its result w
+    moves one ulp at a time while the exact sign of d(log det)/dw, taken
+    from the sensitivity quartic at the half-ulp midpoint, says the root
+    lies beyond it.  So w* is the double nearest the exact optimum, whatever
+    path the search took.  The returned design is certified by the
+    equivalence-theorem check; the spec also records the evaluations and
+    the final residual.
     """
     K = k_factors
     if K <= 3:
@@ -308,37 +315,56 @@ def narrow_design(k_factors: int, lower: int) -> NarrowDesignSpec:
             f"{threshold_b(K):.4f}; use wide_design"
         )
 
-    # m2 and m4 are affine in w: m_j(w) = m_j(center) + w * slope_j, exactly.
+    # m2 and m4 are affine in w, m_j(w) = m_j(center) + w * slope_j exactly,
+    # so each block determinant of M(w) is an integer polynomial in w.
     m2_0, m4_0 = orbit_moment(K, center, 2), orbit_moment(K, center, 4)
     m2_slope = 2 * (orbit_moment(K, lower, 2) - m2_0)
     m4_slope = 2 * (orbit_moment(K, lower, 4) - m4_0)
-    f2_0, f2_slope, f4_0, f4_slope = map(float, (m2_0, m2_slope, m4_0, m4_slope))
-    float_direction = moment_derivative(K, (0.0, f2_slope, 0.0, f4_slope))
-    exact_direction = moment_derivative(K, (0, m2_slope, 0, m4_slope))
+    polynomials = [
+        (mult, [float(c) for c in reversed(coeffs)])
+        for mult, coeffs in determinant_polynomials(
+            K, MomentSet(0, m2_0, 0, m4_0), (0, m2_slope, 0, m4_slope)
+        )
+    ]
+
+    def derivatives(w: float) -> tuple[float, float]:
+        """d(log det)/dw and its derivative: the sums over the blocks of
+        mult p'/p and of mult (p''/p - (p'/p)^2), by Horner in floats."""
+        first = second = 0.0
+        for mult, coeffs in polynomials:
+            p = dp = half_d2p = 0.0
+            for c in coeffs:
+                half_d2p = half_d2p * w + dp
+                dp = dp * w + p
+                p = p * w + c
+            ratio = dp / p
+            first += mult * ratio
+            second += mult * (2 * half_d2p / p - ratio * ratio)
+        return first, second
 
     def negated_derivatives(w: float) -> tuple[float, float]:
-        m = MomentSet(0.0, f2_0 + w * f2_slope, 0.0, f4_0 + w * f4_slope)
-        first, second = log_det_derivatives(K, m, float_direction)
+        first, second = derivatives(w)
         return -first, -second
 
+    def exact_slope(x: Fraction) -> int:
+        """A positive multiple of d(log det)/dw = 2 (psi(L) - psi(c)) at x,
+        from the certificate's own sensitivity quartic."""
+        poly = sensitivity_poly(K, MomentSet(0, m2_0 + x * m2_slope, 0, m4_0 + x * m4_slope))
+        return poly.numerator(lower) - poly.numerator(center)
+
     w, evaluations = minimize_scalar(negated_derivatives, 0.0, 0.5)
-    # Newton steps on d(logdet)/dw = 0 from the bracketed optimum.  The
-    # derivatives are taken exactly at the float w: their float roundoff
-    # would leave w* off by up to 1e-13, enough to fail the certificate
-    # near K = 100.
-    for _ in range(3):
-        x = Fraction(w)
-        m = MomentSet(0, m2_0 + x * m2_slope, 0, m4_0 + x * m4_slope)
-        first, second = log_det_derivatives(K, m, exact_direction)
-        evaluations += 1
-        if second >= 0:
-            break
-        step = first / second
-        candidate = w - step
-        if not 0 < candidate < 0.5:
-            break
-        w = candidate
-        if abs(step) < 1e-16:
+    # w* is the double nearest the root of d(log det)/dw: move one ulp while
+    # the exact sign at the half-ulp midpoint says the root lies beyond it,
+    # upwards first and downwards only if w did not move up.
+    for toward, sign in ((math.inf, 1), (-math.inf, -1)):
+        start = w
+        while True:
+            neighbour = math.nextafter(w, toward)
+            evaluations += 1
+            if sign * exact_slope((Fraction(w) + Fraction(neighbour)) / 2) <= 0:
+                break
+            w = neighbour
+        if w != start:
             break
 
     design = OrbitDesign(K, {lower: w, center: (1 - 2 * w) / (1 + K % 2)}, symmetric=True)
@@ -350,7 +376,8 @@ def narrow_design(k_factors: int, lower: int) -> NarrowDesignSpec:
         )
     ld = log_det_symmetric(K, report.moments)
     return NarrowDesignSpec(
-        K, lower, w, design, ld, d_efficiency_from_log_det(K, ld), report, evaluations, first,
+        K, lower, w, design, ld, d_efficiency_from_log_det(K, ld), report, evaluations,
+        derivatives(w)[0],
     )
 
 

@@ -23,10 +23,15 @@ S^T u = 0, M acts by
 with B = [1 - m2] for K = 2 and no lambda_I for K <= 3.  Hence
 det M = det A (det B)^(K-1) lambda_I^(K(K-3)/2), the blocks of M^-1 are
 the block inverses, and tr(M^-1 D) for an invariant D is the multiplicity
-weighted sum of blockwise traces.  This holds for asymmetric designs too,
-and exact moments keep everything exact.
+weighted sum of blockwise traces.  This holds for asymmetric designs too.
 
-The structured formulas use only the standard library.  The dense p x p
+The block algebra runs in integers: the moments, a float read as the binary
+rational it is, are scaled by their common denominator D, and the blocks of
+D M are integer matrices.  Along a moment direction dm each block
+determinant det(D block(m + w dm)) is an integer polynomial of degree at
+most three in w (determinant_polynomials), so log det M and its derivatives
+in w are sums of logarithms and ratios of these polynomials.  The
+structured formulas use only the standard library.  The dense p x p
 assembly (build_s_matrix, assemble_general, assemble_inverse,
 info_matrix_of) is a test oracle for them; it imports numpy when called.
 """
@@ -38,7 +43,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import chain, combinations
-from operator import floordiv, mul, truediv
+from operator import mul
 from typing import TYPE_CHECKING, NamedTuple, Union
 
 from .exceptions import OrbitDesignError, SingularDesignError
@@ -49,12 +54,6 @@ if TYPE_CHECKING:
     import numpy as np
 
 Numeric = Union[Fraction, float, int]
-
-# A determinant factor this close to zero (relative to its size) counts as
-# singular; exact-rational inputs produce exact zeros, so this only guards
-# float-computed designs.
-SINGULARITY_TOL = 1e-12
-
 
 @dataclass(frozen=True)
 class ModelDims:
@@ -197,10 +196,10 @@ def moment_direction(k_factors: int, j: int) -> tuple[int, ...]:
     return tuple(block.mult * v for block in blocks for col in zip(*block.matrix) for v in col)
 
 
-def moment_traces(k_factors: int, inverse: tuple[tuple[Block, ...], Numeric]):
+def moment_traces(k_factors: int, inverse: tuple[tuple[Block, ...], int]):
     """g_0 = tr(M^-1) and g_j = tr(M^-1 dM/dm_j), j = 1..4, from M^-1 as
     inverse_coefficients gives it: (numerators, its denominator L), each
-    numerator a dot product with moment_direction, in integers if exact."""
+    numerator an integer dot product with moment_direction."""
     blocks, denominator = inverse
     flat = [x for block in blocks for row in block.matrix for x in row]
     return tuple(sum(map(mul, flat, moment_direction(k_factors, j))) for j in range(5)), denominator
@@ -223,32 +222,18 @@ def _adjugate(a: tuple[tuple[Numeric, ...], ...]):
     return adjugate, a00 * c00 + a01 * c10 + a02 * c20
 
 
-def common_scale(values) -> tuple[Numeric, list]:
-    """A scale D and D * values: integers over the common denominator of
-    exact values, or D = 1.0 and the values themselves if any is a float."""
-    if any(isinstance(v, float) for v in values):
-        return 1.0, list(values)
-    scale = math.lcm(*(v.denominator for v in values))
-    return scale, [v.numerator * (scale // v.denominator) for v in values]
+def common_scale(values) -> tuple[int, list[int]]:
+    """A scale D and D * values as integers: D is the lcm of the denominators
+    of the values, each read as the exact rational it is (a float included)."""
+    ratios = [v.as_integer_ratio() for v in values]
+    scale = math.lcm(*(d for _, d in ratios))
+    return scale, [n * (scale // d) for n, d in ratios]
 
 
-def _factored_blocks(k_factors: int, m: MomentSet):
-    """A scale D and (block, adjugate, det) for each block of D M.
-
-    For exact moments D is their common denominator and all entries are
-    integers, so the block algebra runs in integer arithmetic.  det is 0
-    for a singular block.
-    """
+def _scaled_blocks(k_factors: int, m: MomentSet) -> tuple[int, tuple[Block, ...]]:
+    """A scale D and the integer blocks of D M."""
     scale, moments = common_scale((m.m1, m.m2, m.m3, m.m4))
-    factored = []
-    for block in information_blocks(k_factors, *moments, one=scale):
-        adjugate, det = _adjugate(block.matrix)
-        # A float determinant this close to zero (relative to its size)
-        # counts as singular; integer ones are exact.
-        if det <= (0 if isinstance(det, int) else SINGULARITY_TOL * (1 + abs(det))):
-            det = 0
-        factored.append((block, adjugate, det))
-    return scale, factored
+    return scale, information_blocks(k_factors, *moments, one=scale)
 
 
 def _singular(block: Block) -> SingularDesignError:
@@ -260,10 +245,11 @@ def log_det_symmetric(k_factors: int, m: MomentSet) -> float:
 
     Holds for any invariant moments, symmetric or not.
     """
-    scale, factored = _factored_blocks(k_factors, m)
+    scale, blocks = _scaled_blocks(k_factors, m)
     total = 0.0
-    for block, _, det in factored:
-        if not det:
+    for block in blocks:
+        det = _adjugate(block.matrix)[1]
+        if det <= 0:
             return -math.inf
         total += block.mult * math.log(det / scale ** len(block.matrix))
     return total
@@ -301,50 +287,53 @@ def regularity(design: OrbitDesign, k_factors: int | None = None) -> RegularityR
     return RegularityReport(not failing, tuple(failing), support)
 
 
-def inverse_coefficients(k_factors: int, m: MomentSet) -> tuple[tuple[Block, ...], Numeric]:
-    """M^-1 as (blocks, L), M^-1 = blocks / L.  For exact moments L is the lcm
-    of the block determinants of D M (D the moments' common denominator) and
-    the entries D adj(D M) L / det are integers; for float moments L = 1.0.
-    Raises SingularDesignError naming the first singular block."""
-    scale, factored = _factored_blocks(k_factors, m)
+def inverse_coefficients(k_factors: int, m: MomentSet) -> tuple[tuple[Block, ...], int]:
+    """M^-1 as integer blocks over one denominator L, M^-1 = blocks / L.
+
+    L is the lcm of the block determinants of D M, D the moments' common
+    denominator, and the entries D adj(D M) L / det are integers.  Raises
+    SingularDesignError naming the first singular block.
+    """
+    scale, blocks = _scaled_blocks(k_factors, m)
+    factored = [(block, *_adjugate(block.matrix)) for block in blocks]
     for block, _, det in factored:
-        if not det:
+        if det <= 0:
             raise _singular(block)
-    exact = isinstance(scale, int)
-    denominator = math.lcm(*(det for _, _, det in factored)) if exact else scale
-    divide, numerator = floordiv if exact else truediv, scale * denominator
+    denominator = math.lcm(*(det for _, _, det in factored))
+    numerator = scale * denominator
     return tuple(
-        block._replace(matrix=tuple(tuple(divide(numerator * x, det) for x in row) for row in adj))
+        block._replace(matrix=tuple(tuple(numerator * x // det for x in row) for row in adj))
         for block, adj, det in factored
     ), denominator
 
 
-def moment_derivative(k_factors: int, dm: tuple[Numeric, ...]) -> tuple[Numeric, tuple[Block, ...]]:
-    """A scale E and the blocks of E dM along the moment direction dm."""
-    dscale, dmoments = common_scale(dm)
-    return dscale, information_blocks(k_factors, *dmoments, one=0)
+def determinant_polynomials(
+    k_factors: int, m: MomentSet, dm: tuple[Numeric, ...]
+) -> list[tuple[int, tuple[int, ...]]]:
+    """(multiplicity, coefficients) per block of det(D block(m + w dm)) in w.
 
-
-def log_det_derivatives(k_factors: int, m: MomentSet, direction) -> tuple[float, float]:
-    """First and second derivative of log det M along direction = moment_derivative(K, dm).
-
-    They are tr(M^-1 dM) and -tr((M^-1 dM)^2), taken block by block with
-    M^-1 = D adj(D M) / det(D M).  For exact arguments every block term is
-    exact until its final rounding to float.
+    D is the common denominator of m and dm, so the coefficients, lowest
+    degree first, are integers.  With a = D block(m) and b = D block(dm),
+    det(a + w b) = det a + w tr(adj(a) b) + w^2 tr(a adj(b)) + w^3 det b for
+    a 3x3 block; a 2x2 block has no tr(a adj(b)) term, and a 1x1 block is
+    a + w b.  The derivatives of log det M along dm are sums of p'/p.
     """
-    scale, factored = _factored_blocks(k_factors, m)
-    dscale, dblocks = direction
-    first = second = 0.0
-    for (block, adjugate, det), d in zip(factored, dblocks):
-        if not det:
-            raise _singular(block)
-        columns = tuple(zip(*d.matrix))
-        y = [[sum(map(mul, row, col)) for col in columns] for row in adjugate]
-        trace = sum(y[i][i] for i in range(len(y)))
-        trace_sq = sum(map(mul, chain(*y), chain(*zip(*y))))
-        first += block.mult * (scale * trace / (dscale * det))
-        second -= block.mult * (scale * scale * trace_sq / (dscale * det) ** 2)
-    return first, second
+    scale, values = common_scale((m.m1, m.m2, m.m3, m.m4, *dm))
+    polynomials = []
+    for a, b in zip(
+        information_blocks(k_factors, *values[:4], one=scale),
+        information_blocks(k_factors, *values[4:], one=0),
+    ):
+        adj_a, det_a = _adjugate(a.matrix)
+        adj_b, det_b = _adjugate(b.matrix)
+        middle = [_trace_product(adj_a, b.matrix), _trace_product(a.matrix, adj_b)]
+        polynomials.append((a.mult, (det_a, *middle[: len(a.matrix) - 1], det_b)))
+    return polynomials
+
+
+def _trace_product(x, y) -> int:
+    """tr(x y) of two square matrices of the same size."""
+    return sum(map(mul, chain(*x), chain(*zip(*y))))
 
 
 def assemble_inverse(k_factors: int, m: MomentSet) -> np.ndarray:

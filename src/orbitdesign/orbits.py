@@ -16,6 +16,7 @@ tuples.  ``orbit_blocks`` yields the same points in the same order as
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
@@ -23,9 +24,6 @@ from itertools import combinations, product
 from typing import Iterator, Mapping, Union
 
 from .exceptions import OrbitDesignError
-
-#: A single setting on the cube; entries are -1 or +1.
-DesignPoint = tuple[int, ...]
 
 #: Orbit weights are exact rationals where the construction permits, floats otherwise.
 Weight = Union[Fraction, float, int]
@@ -41,17 +39,6 @@ WEIGHT_SUM_TOL = 1e-12
 SUFFIX_LENGTH = 10
 
 
-def active_count(x: DesignPoint) -> int:
-    """Number of +1 entries of a design point (equals (sum(x) + K) / 2)."""
-    count = 0
-    for entry in x:
-        if entry == 1:
-            count += 1
-        elif entry != -1:
-            raise OrbitDesignError(f"design point entries must be -1 or +1, got {entry!r}")
-    return count
-
-
 def orbit_size(k_factors: int, k: int) -> int:
     """Exact size C(K, k) of the orbit with k active factors."""
     if not 0 <= k <= k_factors:
@@ -59,7 +46,7 @@ def orbit_size(k_factors: int, k: int) -> int:
     return math.comb(k_factors, k)
 
 
-def enumerate_orbit(k_factors: int, k: int) -> Iterator[DesignPoint]:
+def enumerate_orbit(k_factors: int, k: int) -> Iterator[tuple[int, ...]]:
     """Yield the C(K, k) points with k active factors.
 
     Points are emitted in lexicographic order of their +1-position subsets,
@@ -237,4 +224,8 @@ def point_weight(design: OrbitDesign, k: int) -> Weight:
     w = design.weight(k)
     if w == 0:
         return 0
-    return w / orbit_size(design.k_factors, k)
+    size = orbit_size(design.k_factors, k)
+    if isinstance(w, float) and size > sys.float_info.max:
+        # float / int would convert C(K, k) to a float; divide exactly instead.
+        return float(Fraction(w) / size)
+    return w / size

@@ -19,11 +19,11 @@ and for sign-symmetric designs g_1 = g_3 = 0, so a1 = a3 = 0 and the
 quartic is even.  Checking optimality on a region therefore reduces to a
 finite maximum of a quartic over the admitted orbit indices.
 
-For exact moments the certificate runs in integers over one denominator:
-M^-1 as integer blocks over L (inverse_coefficients), the traces g_j as
-numerators over L (moment_traces), and the quartic as five numerators over
-L D, D the lcm of the moment denominators d_j (sensitivity_poly).  kw_check
-scans those integers and rounds once per reported value.
+The certificate runs in integers over one denominator: M^-1 as integer
+blocks over L (inverse_coefficients), the traces g_j as numerators over L
+(moment_traces), and the quartic as five numerators over L D, D the lcm of
+the moment denominators d_j (sensitivity_poly).  kw_check scans those
+integers and rounds once per reported value.
 
 A direct summation oracle over enumerated orbits backs all structured
 formulas; it accumulates exact integer Gram matrices per orbit and combines
@@ -37,15 +37,13 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import TYPE_CHECKING, Union
+from typing import TYPE_CHECKING
 
 from .exceptions import OrbitDesignError
 from .info_matrix import (
     InfoMatrix,
-    d_efficiency_from_log_det,
     inverse_coefficients,
     interaction_pairs,
-    log_det_symmetric,
     model_dims,
     moment_traces,
 )
@@ -55,34 +53,33 @@ from .orbits import OrbitDesign, enumerate_orbit, orbit_size
 if TYPE_CHECKING:
     import numpy as np
 
-Numeric = Union[Fraction, float, int]
-
 BRUTE_FORCE_MAX_K = 12
 
 
 @dataclass(frozen=True)
 class SensitivityPoly:
     """Quartic in t = 2k - K giving the sensitivity value on each orbit, as
-    numerators c_0..c_4 over one denominator (integers for exact moments);
-    the coefficients a_i = c_i / denominator are Fractions for exact moments."""
+    integer numerators c_0..c_4 over one positive integer denominator; the
+    coefficients are the Fractions a_i = c_i / denominator."""
 
     k_factors: int
-    numerators: tuple[Numeric, ...]
-    denominator: Numeric
+    numerators: tuple[int, ...]
+    denominator: int
 
     a0, a1, a2, a3, a4 = (
-        property(lambda self, i=i: _ratio(self.numerators[i], self.denominator)) for i in range(5)
+        property(lambda self, i=i: Fraction(self.numerators[i], self.denominator))
+        for i in range(5)
     )
 
-    def numerator(self, k: int) -> Numeric:
+    def numerator(self, k: int) -> int:
         """psi_tilde(k) times the denominator, for orbit index k."""
         c0, c1, c2, c3, c4 = self.numerators
         t = 2 * k - self.k_factors
         return (((c4 * t + c3) * t + c2) * t + c1) * t + c0
 
-    def value(self, k: int) -> Numeric:
+    def value(self, k: int) -> Fraction:
         """psi_tilde(k) for orbit index k."""
-        return _ratio(self.numerator(k), self.denominator)
+        return Fraction(self.numerator(k), self.denominator)
 
 
 @dataclass(frozen=True)
@@ -112,17 +109,10 @@ class KwReport:
         )
 
 
-def _ratio(numerator: Numeric, denominator: Numeric) -> Numeric:
-    """numerator / denominator, as an exact Fraction for integers."""
-    if isinstance(denominator, int):
-        return Fraction(numerator, denominator)
-    return numerator / denominator
-
-
 def sensitivity_poly(k_factors: int, m: MomentSet) -> SensitivityPoly:
-    """The orbitwise sensitivity quartic for invariant moments, as numerators
-    over L D: integers for exact moments, and then a1 = a3 = 0 exactly for
-    symmetric moments.  Raises SingularDesignError for singular moments."""
+    """The orbitwise sensitivity quartic for invariant moments, as integer
+    numerators over L D; a1 = a3 = 0 exactly for symmetric moments.  Raises
+    SingularDesignError for singular moments."""
     traces, denominator = moment_traces(k_factors, inverse_coefficients(k_factors, m))
     polys = [((1,), 1)] + [moment_polynomial(k_factors, j) for j in range(1, 5)]
     scale = math.lcm(*(d for _, d in polys))
@@ -166,12 +156,6 @@ def kw_check(
     per_orbit = {k: value / scale for k, value in values.items()}
     max_violation = (values[argmax] - p * scale) / scale
     return KwReport(max_violation, argmax, per_orbit, p, tol, m)
-
-
-def d_efficiency(design: OrbitDesign) -> float:
-    """det(M)^(1/p), the efficiency relative to the full factorial; 0 if singular."""
-    K = design.k_factors
-    return d_efficiency_from_log_det(K, log_det_symmetric(K, design_moments(design)))
 
 
 @lru_cache(maxsize=None)

@@ -109,6 +109,13 @@ def test_solve_layers_are_called(monkeypatch):
     # The two operations of the solve-sweep workload, as perfbench/jobs.py runs them.
     spec = orbitdesign.wide_design(20, 3)
     assert orbitdesign.kw_check(spec.design, 3, 17).passed
+    wide_calls = calls.copy()
     assert orbitdesign.narrow_design(20, 8).kw_report.passed
     assert set(SOLVE_LAYERS) <= set(layers.values())
     assert not [layer for layer in SOLVE_LAYERS if calls[layer] == 0]
+
+    # The calls of one narrow solve, which perfbench's per-solve counts read.
+    narrow_calls = calls - wide_calls
+    assert narrow_calls["construct.minimize_scalar"] == 1
+    assert narrow_calls["info_matrix.log_det_symmetric"] == 1
+    assert narrow_calls["moments.orbit_moment"] == 4

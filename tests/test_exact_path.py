@@ -2,14 +2,16 @@
 
 design_moments, inverse_coefficients, sensitivity_poly and kw_check carry
 integer numerators over one denominator.  These tests check that path
-against plain Fraction arithmetic on independent formulas, and pin the
-narrow w* and the certificates of a fixed list of regions, so that a change
-of the arithmetic cannot move a reported value.
+against plain Fraction arithmetic on independent formulas, check that the
+narrow w* is the double nearest the exact optimum, and pin the narrow w*
+and the certificates of a fixed list of regions, so that a change of the
+arithmetic cannot move a reported value.
 """
 
 from __future__ import annotations
 
 import hashlib
+import math
 import random
 from fractions import Fraction
 
@@ -24,6 +26,7 @@ from orbitdesign import (
     model_dims,
     narrow_design,
     orbit_moment_sum,
+    regime,
     wide_design,
 )
 from orbitdesign.info_matrix import information_blocks
@@ -134,19 +137,56 @@ class TestIntegerPath:
         # One pass over the four moments of the design, none for kw_check.
         assert sorted(calls) == [(30, 1), (30, 2), (30, 3), (30, 4)]
 
-    def test_narrow_search_builds_its_direction_once(self, monkeypatch):
+    def test_narrow_search_builds_its_polynomials_once(self, monkeypatch):
         calls = []
-        original = orbitdesign.construct.moment_derivative
+        original = orbitdesign.construct.determinant_polynomials
 
         def counting(*args):
             calls.append(args)
             return original(*args)
 
-        monkeypatch.setattr(orbitdesign.construct, "moment_derivative", counting)
+        monkeypatch.setattr(orbitdesign.construct, "determinant_polynomials", counting)
         spec = narrow_design(40, 17)
         assert spec.evaluations > 2
-        # One float direction for the search and one exact for the polishing.
-        assert len(calls) == 2
+        # The float search and the residual share one set of polynomials.
+        assert len(calls) == 1
+
+
+def narrow_regions(max_k):
+    return [
+        (K, L) for K in range(4, max_k + 1) for L in range(K // 2) if regime(K, L) == "narrow"
+    ]
+
+
+def fraction_slope(k_factors, lower, w):
+    """d(log det)/dw at the exact weight w of the narrow design on
+    [L, K-L]: tr(M^-1 dM/dw) block by block, with Gauss-Jordan inverses in
+    Fractions and moments from orbit_moment_sum."""
+    K, center = k_factors, k_factors // 2
+    m2_0, m4_0 = (orbit_moment_sum(K, center, j) for j in (2, 4))
+    m2_slope, m4_slope = (2 * (orbit_moment_sum(K, lower, j) - orbit_moment_sum(K, center, j))
+                          for j in (2, 4))
+    blocks = information_blocks(K, 0, m2_0 + w * m2_slope, 0, m4_0 + w * m4_slope)
+    directions = information_blocks(K, 0, m2_slope, 0, m4_slope, one=0)
+    return sum(
+        block.mult * sum(
+            a * b
+            for row, col in zip(fraction_inverse(block.matrix), zip(*direction.matrix))
+            for a, b in zip(row, col)
+        )
+        for block, direction in zip(blocks, directions)
+    )
+
+
+def test_w_star_is_the_nearest_double():
+    regions = narrow_regions(100)
+    assert len(regions) == 500
+    for k_factors, lower in regions:
+        w = narrow_design(k_factors, lower).w_star
+        below = (Fraction(math.nextafter(w, 0)) + Fraction(w)) / 2
+        above = (Fraction(w) + Fraction(math.nextafter(w, 1))) / 2
+        assert fraction_slope(k_factors, lower, below) > 0, (k_factors, lower)
+        assert fraction_slope(k_factors, lower, above) < 0, (k_factors, lower)
 
 
 def per_orbit_digest(report):
@@ -154,29 +194,29 @@ def per_orbit_digest(report):
     return hashlib.sha256(text.encode()).hexdigest()[:16]
 
 
-# Taken from the Fraction-based implementation this integer path replaced:
 # (K, L, w*, evaluations, residual, log det, max_violation, argmax, digest of
-# per_orbit).  (76, 37) and (100, 49) once failed their certificate.
+# per_orbit), with w* the nearest double to the root of d(log det)/dw.
+# (76, 37) and (100, 49) once failed their certificate.
 NARROW_FROZEN = [
-    (6, 2, '0x1.8bcbb7cd7e1eep-2', 7, '0x1.4000000000000p-47',
+    (6, 2, '0x1.8bcbb7cd7e1eep-2', 8, '0x0.0p+0',
      '-0x1.56de275b92c58p+1', '0x1.0ca92bd8b5931p-52', 2, '24b8d6848af86da7'),
     (20, 8, '0x1.baedfb66ecb67p-2', 9, '0x0.0p+0',
      '-0x1.82b1642d795aep+1', '0x1.3cdf2c46c52bap-51', 10, 'e8a2712deb0eef0d'),
-    (40, 17, '0x1.c7417ebdf730cp-2', 9, '0x1.0000000000000p-46',
+    (40, 17, '0x1.c7417ebdf730cp-2', 10, '0x1.0000000000000p-45',
      '-0x1.6b910df0974ecp+1', '0x1.45b0e2df370e8p-52', 17, 'b572951885708005'),
-    (76, 31, '0x1.8b61949559622p-3', 7, '0x0.0p+0',
-     '-0x1.8179aea4fc3fcp-6', '0x1.a56616ef86518p-46', 31, '6f78c14b61984a1a'),
-    (76, 37, '0x1.f915f78fd9013p-2', 12, '0x1.f200000000000p-43',
+    (76, 31, '0x1.8b61949559623p-3', 8, '0x0.0p+0',
+     '-0x1.8179aea4fb0fcp-6', '0x1.4324cfc962e4cp-50', 38, '6f78c14b61984a1a'),
+    (76, 37, '0x1.f915f78fd9013p-2', 12, '-0x1.3800000000000p-45',
      '-0x1.42734976acfcap+7', '0x1.b41d5a84e1c55p-50', 37, '30d885cb6a34bb23'),
-    (82, 34, '0x1.a9cc6864383cbp-3', 6, '0x0.0p+0',
-     '-0x1.c882e3bbd47dcp-5', '0x1.4783e2a64857dp-46', 34, '594a2802d3e32723'),
-    (82, 40, '0x1.f99a9008c96dfp-2', 12, '-0x1.4880000000000p-41',
+    (82, 34, '0x1.a9cc6864383cdp-3', 7, '-0x1.0000000000000p-44',
+     '-0x1.c882e3bbd3da4p-5', '0x1.d1d5a30befa0fp-52', 41, 'b0367cf3df8393cb'),
+    (82, 40, '0x1.f99a9008c96dfp-2', 12, '-0x1.8f00000000000p-42',
      '-0x1.66b232c59986ap+7', '0x1.45e2d0a2d3edap-42', 41, '5f358dbadfb22fa6'),
-    (100, 43, '0x1.028f39edf022cp-2', 6, '0x0.0p+0',
+    (100, 43, '0x1.028f39edf022cp-2', 6, '-0x1.0000000000000p-44',
      '-0x1.ab7e51464e18ap-3', '0x1.f9d598a950b64p-49', 50, '1a1872d0cc815b44'),
-    (100, 46, '0x1.f2e3a99122c0bp-2', 12, '-0x1.4000000000000p-43',
+    (100, 46, '0x1.f2e3a99122c0bp-2', 12, '-0x1.0000000000000p-42',
      '-0x1.a64250590547cp+3', '0x1.341c0044f35efp-44', 50, '92463e2d2926f074'),
-    (100, 49, '0x1.fac70f693006ep-2', 12, '-0x1.1000000000000p-42',
+    (100, 49, '0x1.fac70f693006ep-2', 12, '-0x1.4800000000000p-41',
      '-0x1.d84cf37c6cbe7p+7', '0x1.ce18b7e14ebb1p-44', 50, '4edac9607ece7244'),
 ]
 

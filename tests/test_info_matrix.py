@@ -240,6 +240,21 @@ class TestLogDet:
                 assert log_det_symmetric(k_factors, m.as_floats()) == pytest.approx(ld, rel=1e-10)
 
 
+    def test_float_moments_are_read_exactly(self):
+        # A float moment is the binary rational it is: the same values as
+        # Fractions give the same integers and the same log det, bit for bit.
+        for k_factors in range(2, 11):
+            for d in random_asymmetric_designs(k_factors, 2, seed=270 + k_factors):
+                m = design_moments(d).as_floats()
+                exact = MomentSet(*(Fraction(v) for v in (m.m1, m.m2, m.m3, m.m4)))
+                ld = log_det_symmetric(k_factors, m)
+                assert ld.hex() == log_det_symmetric(k_factors, exact).hex()
+                numerators, denominator = inverse_coefficients(k_factors, m)
+                assert type(denominator) is int
+                assert all(type(x) is int for b in numerators for row in b.matrix for x in row)
+                assert (numerators, denominator) == inverse_coefficients(k_factors, exact)
+
+
 class TestRegularity:
     def test_two_good_orbits(self):
         d = symmetric_design(6, {2: Fraction(1, 2), 3: Fraction(1, 2)})

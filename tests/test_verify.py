@@ -15,17 +15,18 @@ from orbitdesign import (
     SingularDesignError,
     assemble_general,
     brute_force_info,
-    d_efficiency,
     design_moments,
     enumerate_orbit,
     full_factorial,
     kw_check,
     lemma2_design,
+    log_det_symmetric,
     model_dims,
     narrow_design,
     sensitivity_poly,
     wide_design,
 )
+from orbitdesign.info_matrix import d_efficiency_from_log_det
 
 from conftest import (
     exact_identity,
@@ -155,6 +156,11 @@ class TestKwCheck:
         report_loose = kw_check(slightly_off, 2, 4, tol=1e-2)
         report_tight = kw_check(slightly_off, 2, 4, tol=1e-12)
         assert report_loose.passed and not report_tight.passed
+
+
+def d_efficiency(design):
+    K = design.k_factors
+    return d_efficiency_from_log_det(K, log_det_symmetric(K, design_moments(design)))
 
 
 class TestDEfficiency:
