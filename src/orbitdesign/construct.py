@@ -20,8 +20,9 @@ the log determinant over (0, 1/2).  That objective is strictly concave and
 falls to -inf at both ends.  Its block determinants are integer
 polynomials in w, so a safeguarded Newton search (``minimize_scalar``) on
 float evaluations of their logarithmic derivatives comes within a few ulps
-of w*, and the exact sign of d(log det)/dw = 2 (psi(L) - psi(c)) at
-half-ulp midpoints then picks the double nearest the exact optimum.
+of w*, and the exact sign of d(log det)/dw = 2 (psi(L) - psi(c)), taken in
+integers from the same polynomials at half-ulp midpoints
+(``log_det_slope``), then picks the double nearest the exact optimum.
 Asymmetric bounds [L, U] reduce to the stricter side max(L, K - U) when
 that side is wide.
 
@@ -40,13 +41,14 @@ from typing import Callable, Optional
 from .exceptions import (
     EstimabilityError,
     OrbitDesignError,
+    SingularDesignError,
     UnsupportedRegionError,
     WrongRegimeError,
 )
 from .info_matrix import d_efficiency_from_log_det, determinant_polynomials, log_det_symmetric
 from .moments import MomentSet, design_moments, orbit_moment
 from .orbits import OrbitDesign, Region, orbit_size
-from .verify import KwReport, kw_check, sensitivity_poly
+from .verify import KwReport, kw_check
 
 # The narrow search stops on a step shorter than this; exact signs at
 # half-ulp midpoints take w* the rest of the way.  The evaluation cap only
@@ -260,6 +262,29 @@ def minimize_scalar(
     return x, evaluations
 
 
+def log_det_slope(polynomials: list[tuple[int, tuple[int, ...]]], x: Fraction) -> int:
+    """A positive multiple of d(log det)/dw at the rational w = x, in integers.
+
+    For x = n/d and the polynomials p_b of determinant_polynomials, homogeneous
+    Horner gives P_b = d^deg p_b(x) and P'_b = d^(deg-1) p_b'(x); the slope
+    sum_b mult_b p_b'/p_b has the sign of the returned
+    sum_b mult_b P'_b prod_{c != b} P_c.  Raises SingularDesignError if some P_b <= 0.
+    """
+    n, d = x.numerator, x.denominator
+    total, product = 0, 1
+    for mult, coeffs in polynomials:
+        p, dp, power = 0, 0, 1
+        for c in reversed(coeffs):
+            dp = dp * n + p
+            p = p * n + c * power
+            power *= d
+        if p <= 0:
+            raise SingularDesignError(f"information matrix is singular at w = {x}")
+        total = total * p + mult * dp * product
+        product *= p
+    return total
+
+
 @dataclass(frozen=True)
 class NarrowDesignSpec:
     """Optimized two-symmetric-orbit design for narrow bounds.
@@ -287,12 +312,12 @@ def narrow_design(k_factors: int, lower: int) -> NarrowDesignSpec:
     orbit(s).  w* maximizes the log determinant over (0, 1/2).  A
     safeguarded Newton search (minimize_scalar) runs on float Horner
     evaluations of the block-determinant polynomials; from its result w
-    moves one ulp at a time while the exact sign of d(log det)/dw, taken
-    from the sensitivity quartic at the half-ulp midpoint, says the root
-    lies beyond it.  So w* is the double nearest the exact optimum, whatever
-    path the search took.  The returned design is certified by the
-    equivalence-theorem check; the spec also records the evaluations and
-    the final residual.
+    moves one ulp at a time while the exact sign of d(log det)/dw, taken in
+    integers from the same polynomials at the half-ulp midpoint
+    (log_det_slope), says the root lies beyond it.  So w* is the double
+    nearest the exact optimum, whatever path the search took.  The returned
+    design is certified once by the equivalence-theorem check; the spec also
+    records the evaluations and the final residual.
     """
     K = k_factors
     if K <= 3:
@@ -320,12 +345,8 @@ def narrow_design(k_factors: int, lower: int) -> NarrowDesignSpec:
     m2_0, m4_0 = orbit_moment(K, center, 2), orbit_moment(K, center, 4)
     m2_slope = 2 * (orbit_moment(K, lower, 2) - m2_0)
     m4_slope = 2 * (orbit_moment(K, lower, 4) - m4_0)
-    polynomials = [
-        (mult, [float(c) for c in reversed(coeffs)])
-        for mult, coeffs in determinant_polynomials(
-            K, MomentSet(0, m2_0, 0, m4_0), (0, m2_slope, 0, m4_slope)
-        )
-    ]
+    exact = determinant_polynomials(K, MomentSet(0, m2_0, 0, m4_0), (0, m2_slope, 0, m4_slope))
+    polynomials = [(mult, [float(c) for c in reversed(coeffs)]) for mult, coeffs in exact]
 
     def derivatives(w: float) -> tuple[float, float]:
         """d(log det)/dw and its derivative: the sums over the blocks of
@@ -346,12 +367,6 @@ def narrow_design(k_factors: int, lower: int) -> NarrowDesignSpec:
         first, second = derivatives(w)
         return -first, -second
 
-    def exact_slope(x: Fraction) -> int:
-        """A positive multiple of d(log det)/dw = 2 (psi(L) - psi(c)) at x,
-        from the certificate's own sensitivity quartic."""
-        poly = sensitivity_poly(K, MomentSet(0, m2_0 + x * m2_slope, 0, m4_0 + x * m4_slope))
-        return poly.numerator(lower) - poly.numerator(center)
-
     w, evaluations = minimize_scalar(negated_derivatives, 0.0, 0.5)
     # w* is the double nearest the root of d(log det)/dw: move one ulp while
     # the exact sign at the half-ulp midpoint says the root lies beyond it,
@@ -361,7 +376,7 @@ def narrow_design(k_factors: int, lower: int) -> NarrowDesignSpec:
         while True:
             neighbour = math.nextafter(w, toward)
             evaluations += 1
-            if sign * exact_slope((Fraction(w) + Fraction(neighbour)) / 2) <= 0:
+            if sign * log_det_slope(exact, (Fraction(w) + Fraction(neighbour)) / 2) <= 0:
                 break
             w = neighbour
         if w != start:

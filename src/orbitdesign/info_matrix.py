@@ -39,9 +39,9 @@ info_matrix_of) is a test oracle for them; it imports numpy when called.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from itertools import chain, combinations
 from operator import mul
 from typing import TYPE_CHECKING, NamedTuple, Union
@@ -187,24 +187,6 @@ def information_blocks(
     return blocks + (Block("lambda_I", ((one - 2 * m2 + m4,),), n - K),)
 
 
-@lru_cache(maxsize=None)
-def moment_direction(k_factors: int, j: int) -> tuple[int, ...]:
-    """dM/dm_j for j = 1..4, and the identity for j = 0, in the layout of
-    moment_traces: its transposed blocks flattened and weighted by multiplicity."""
-    unit = [int(i == j) for i in range(5)]
-    blocks = information_blocks(k_factors, *unit[1:], one=unit[0])
-    return tuple(block.mult * v for block in blocks for col in zip(*block.matrix) for v in col)
-
-
-def moment_traces(k_factors: int, inverse: tuple[tuple[Block, ...], int]):
-    """g_0 = tr(M^-1) and g_j = tr(M^-1 dM/dm_j), j = 1..4, from M^-1 as
-    inverse_coefficients gives it: (numerators, its denominator L), each
-    numerator an integer dot product with moment_direction."""
-    blocks, denominator = inverse
-    flat = [x for block in blocks for row in block.matrix for x in row]
-    return tuple(sum(map(mul, flat, moment_direction(k_factors, j))) for j in range(5)), denominator
-
-
 def _adjugate(a: tuple[tuple[Numeric, ...], ...]):
     """Adjugate and determinant of a 1x1, 2x2 or 3x3 matrix."""
     if len(a) == 1:
@@ -248,10 +230,15 @@ def log_det_symmetric(k_factors: int, m: MomentSet) -> float:
     scale, blocks = _scaled_blocks(k_factors, m)
     total = 0.0
     for block in blocks:
-        det = _adjugate(block.matrix)[1]
+        det, n = _adjugate(block.matrix)[1], len(block.matrix)
         if det <= 0:
             return -math.inf
-        total += block.mult * math.log(det / scale ** len(block.matrix))
+        ratio = det / scale**n
+        # A ratio below the normal floats has lost digits or underflowed to 0.
+        if ratio < sys.float_info.min:
+            total += block.mult * (math.log(det) - n * math.log(scale))
+        else:
+            total += block.mult * math.log(ratio)
     return total
 
 
@@ -301,10 +288,12 @@ def inverse_coefficients(k_factors: int, m: MomentSet) -> tuple[tuple[Block, ...
             raise _singular(block)
     denominator = math.lcm(*(det for _, _, det in factored))
     numerator = scale * denominator
-    return tuple(
-        block._replace(matrix=tuple(tuple(numerator * x // det for x in row) for row in adj))
-        for block, adj, det in factored
-    ), denominator
+    inverse = []
+    for block, adj, det in factored:
+        factor = numerator // det  # exact: det divides L
+        matrix = tuple(tuple(factor * x for x in row) for row in adj)
+        inverse.append(Block(block.name, matrix, block.mult))
+    return tuple(inverse), denominator
 
 
 def determinant_polynomials(

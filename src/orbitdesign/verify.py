@@ -20,10 +20,12 @@ quartic is even.  Checking optimality on a region therefore reduces to a
 finite maximum of a quartic over the admitted orbit indices.
 
 The certificate runs in integers over one denominator: M^-1 as integer
-blocks over L (inverse_coefficients), the traces g_j as numerators over L
-(moment_traces), and the quartic as five numerators over L D, D the lcm of
-the moment denominators d_j (sensitivity_poly).  kw_check scans those
-integers and rounds once per reported value.
+blocks over L (inverse_coefficients), and the quartic as five numerators
+over L D, D the lcm of the moment denominators d_j (sensitivity_poly).
+Substituting m_j(t) into g_0 + sum_j g_j m_j(t) folds the traces and the
+moment polynomials into five integer vectors per K (quartic_directions), so
+each numerator is one dot product with the flattened blocks of M^-1.
+kw_check scans those integers and rounds once per reported value.
 
 A direct summation oracle over enumerated orbits backs all structured
 formulas; it accumulates exact integer Gram matrices per orbit and combines
@@ -37,15 +39,16 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from operator import mul
 from typing import TYPE_CHECKING
 
 from .exceptions import OrbitDesignError
 from .info_matrix import (
     InfoMatrix,
-    inverse_coefficients,
+    information_blocks,
     interaction_pairs,
+    inverse_coefficients,
     model_dims,
-    moment_traces,
 )
 from .moments import MomentSet, design_moments, moment_polynomial
 from .orbits import OrbitDesign, enumerate_orbit, orbit_size
@@ -71,15 +74,11 @@ class SensitivityPoly:
         for i in range(5)
     )
 
-    def numerator(self, k: int) -> int:
-        """psi_tilde(k) times the denominator, for orbit index k."""
-        c0, c1, c2, c3, c4 = self.numerators
-        t = 2 * k - self.k_factors
-        return (((c4 * t + c3) * t + c2) * t + c1) * t + c0
-
     def value(self, k: int) -> Fraction:
         """psi_tilde(k) for orbit index k."""
-        return Fraction(self.numerator(k), self.denominator)
+        c0, c1, c2, c3, c4 = self.numerators
+        t = 2 * k - self.k_factors
+        return Fraction((((c4 * t + c3) * t + c2) * t + c1) * t + c0, self.denominator)
 
 
 @dataclass(frozen=True)
@@ -109,18 +108,35 @@ class KwReport:
         )
 
 
+@lru_cache(maxsize=None)
+def quartic_directions(k_factors: int) -> tuple[tuple[tuple[int, ...], ...], int]:
+    """Integer vectors v_0..v_4 and the scale D with a_i = (N . v_i) / (L D)
+    for M^-1 = N / L flattened block by block, row by row.
+
+    The blocks are linear in (1, m_1, .., m_4), so the orbit matrix M(k) is
+    sum_i t^i B_i / D, B_i the blocks at D times the t^i coefficients of
+    m_j(t) = P_j(t) / d_j (moment_polynomial) and of m_0 = 1.  v_i is B_i
+    transposed, flattened and weighted by multiplicity: N . v_i = L tr(M^-1 B_i).
+    """
+    polys = [((1,), 1)] + [moment_polynomial(k_factors, j) for j in range(1, 5)]
+    scale = math.lcm(*(d for _, d in polys))
+    vectors = []
+    for i in range(5):
+        one, *moments = (c[i] * (scale // d) if i < len(c) else 0 for c, d in polys)
+        blocks = information_blocks(k_factors, *moments, one=one)
+        vectors.append(tuple(b.mult * v for b in blocks for col in zip(*b.matrix) for v in col))
+    return tuple(vectors), scale
+
+
 def sensitivity_poly(k_factors: int, m: MomentSet) -> SensitivityPoly:
     """The orbitwise sensitivity quartic for invariant moments, as integer
     numerators over L D; a1 = a3 = 0 exactly for symmetric moments.  Raises
     SingularDesignError for singular moments."""
-    traces, denominator = moment_traces(k_factors, inverse_coefficients(k_factors, m))
-    polys = [((1,), 1)] + [moment_polynomial(k_factors, j) for j in range(1, 5)]
-    scale = math.lcm(*(d for _, d in polys))
-    numerators = [0] * 5
-    for g, (coeffs, d) in zip(traces, polys):
-        for i, c in enumerate(coeffs):
-            numerators[i] += g * c * (scale // d)
-    return SensitivityPoly(k_factors, tuple(numerators), denominator * scale)
+    blocks, denominator = inverse_coefficients(k_factors, m)
+    flat = [x for block in blocks for row in block.matrix for x in row]
+    vectors, scale = quartic_directions(k_factors)
+    numerators = tuple(sum(map(mul, flat, v)) for v in vectors)
+    return SensitivityPoly(k_factors, numerators, denominator * scale)
 
 
 def kw_check(
@@ -151,7 +167,11 @@ def kw_check(
     # The moments are exact, so the quartic is integers over one denominator:
     # the scan runs in integers and rounds once per reported value.
     scale = poly.denominator
-    values = {k: poly.numerator(k) for k in range(lower, upper + 1)}
+    c0, c1, c2, c3, c4 = poly.numerators
+    values = {}
+    for k in range(lower, upper + 1):
+        t = 2 * k - K
+        values[k] = (((c4 * t + c3) * t + c2) * t + c1) * t + c0
     argmax = max(values, key=values.get)
     per_orbit = {k: value / scale for k, value in values.items()}
     max_violation = (values[argmax] - p * scale) / scale

@@ -119,3 +119,7 @@ def test_solve_layers_are_called(monkeypatch):
     assert narrow_calls["construct.minimize_scalar"] == 1
     assert narrow_calls["info_matrix.log_det_symmetric"] == 1
     assert narrow_calls["moments.orbit_moment"] == 4
+    # The ulp walk signs on the determinant polynomials; the quartic and
+    # the block inverse are built once, for the certificate.
+    assert narrow_calls["verify.sensitivity_poly"] == 1
+    assert narrow_calls["info_matrix.inverse_coefficients"] == 1

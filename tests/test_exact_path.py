@@ -1,11 +1,12 @@
 """The integer certificate path against Fraction references and frozen results.
 
 design_moments, inverse_coefficients, sensitivity_poly and kw_check carry
-integer numerators over one denominator.  These tests check that path
-against plain Fraction arithmetic on independent formulas, check that the
-narrow w* is the double nearest the exact optimum, and pin the narrow w*
-and the certificates of a fixed list of regions, so that a change of the
-arithmetic cannot move a reported value.
+integer numerators over one denominator, and the narrow ulp walk signs on
+integer block-determinant polynomials (log_det_slope).  These tests check
+that path against plain Fraction arithmetic on independent formulas, check
+that the narrow w* is the double nearest the exact optimum, and pin the
+narrow w* and the certificates of a fixed list of regions, so that a change
+of the arithmetic cannot move a reported value.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ import orbitdesign.construct
 import orbitdesign.moments
 from orbitdesign import (
     OrbitDesign,
+    SingularDesignError,
     design_moments,
     kw_check,
     model_dims,
@@ -29,6 +31,7 @@ from orbitdesign import (
     regime,
     wide_design,
 )
+from orbitdesign.construct import log_det_slope
 from orbitdesign.info_matrix import information_blocks
 
 
@@ -102,6 +105,17 @@ def fraction_psi(design):
     return psi
 
 
+def assert_equals_fraction_scan(design):
+    K = design.k_factors
+    report = kw_check(design, 0, K)
+    psi = fraction_psi(design)
+    p = model_dims(K).p
+    assert report.per_orbit == {k: float(value) for k, value in psi.items()}, design
+    peak = max(psi.values())
+    assert report.argmax_orbit == min(k for k, value in psi.items() if value == peak)
+    assert report.max_violation == float(peak - p)
+
+
 class TestIntegerPath:
     def test_design_moments_equal_fraction_mixture(self):
         for design in designs_k2_to_30():
@@ -110,14 +124,15 @@ class TestIntegerPath:
 
     def test_kw_check_equals_fraction_scan(self):
         for design in designs_k2_to_30():
-            K = design.k_factors
-            report = kw_check(design, 0, K)
-            psi = fraction_psi(design)
-            p = model_dims(K).p
-            assert report.per_orbit == {k: float(value) for k, value in psi.items()}, design
-            peak = max(psi.values())
-            assert report.argmax_orbit == min(k for k, value in psi.items() if value == peak)
-            assert report.max_violation == float(peak - p)
+            assert_equals_fraction_scan(design)
+
+    @pytest.mark.parametrize("k_factors", [47, 64, 76, 100])
+    def test_kw_check_equals_fraction_scan_at_large_k(self, k_factors):
+        # The quartic's integer vectors are built per K; these K lie past
+        # the K <= 30 scan, up to the largest K of the narrow regions.
+        rng = random.Random(1400 + k_factors)
+        for symmetric in (False, True):
+            assert_equals_fraction_scan(random_design(rng, k_factors, True, symmetric))
 
     def test_design_keeps_its_moments(self):
         design = wide_design(20, 3).design
@@ -148,7 +163,8 @@ class TestIntegerPath:
         monkeypatch.setattr(orbitdesign.construct, "determinant_polynomials", counting)
         spec = narrow_design(40, 17)
         assert spec.evaluations > 2
-        # The float search and the residual share one set of polynomials.
+        # The float search, the exact ulp walk and the residual share one
+        # set of polynomials.
         assert len(calls) == 1
 
 
@@ -176,6 +192,44 @@ def fraction_slope(k_factors, lower, w):
         )
         for block, direction in zip(blocks, directions)
     )
+
+
+def narrow_polynomials(monkeypatch, k_factors, lower):
+    """The determinant polynomials narrow_design builds for [L, K-L]."""
+    built = []
+    original = orbitdesign.construct.determinant_polynomials
+
+    def recording(*args):
+        built.append(original(*args))
+        return built[-1]
+
+    monkeypatch.setattr(orbitdesign.construct, "determinant_polynomials", recording)
+    narrow_design(k_factors, lower)
+    monkeypatch.undo()
+    (polynomials,) = built
+    return polynomials
+
+
+def test_integer_slope_sign_equals_fraction_slope(monkeypatch):
+    rng = random.Random(1401)
+    for k_factors, lower in narrow_regions(40):
+        polynomials = narrow_polynomials(monkeypatch, k_factors, lower)
+        for _ in range(5):
+            bits = rng.randrange(2, 60)
+            w = Fraction(rng.randrange(1, 2**bits), 2 ** (bits + 1))
+            slope = log_det_slope(polynomials, w)
+            expected = fraction_slope(k_factors, lower, w)
+            assert (slope > 0) == (expected > 0) and (slope < 0) == (expected < 0), (
+                k_factors, lower, w,
+            )
+
+
+def test_integer_slope_rejects_singular_weights(monkeypatch):
+    # w = 0 leaves the centre orbit alone, w = 1/2 the outer pair alone.
+    polynomials = narrow_polynomials(monkeypatch, 20, 8)
+    for w in (Fraction(0), Fraction(1, 2)):
+        with pytest.raises(SingularDesignError):
+            log_det_slope(polynomials, w)
 
 
 def test_w_star_is_the_nearest_double():

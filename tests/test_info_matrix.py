@@ -228,6 +228,16 @@ class TestLogDet:
         d = OrbitDesign(6, {3: Fraction(1)}, symmetric=True)
         assert log_det_symmetric(6, design_moments(d)) == -math.inf
 
+    def test_underflowing_block_ratio_gives_a_finite_log_det(self):
+        # Block A's det / D^3 is below the float range and rounds to 0.0.
+        m = design_moments(OrbitDesign(6, {2: 1e-300, 3: 1.0}, symmetric=True))
+        ld = log_det_symmetric(6, m)
+        assert math.isfinite(ld)
+        dets = [(b.mult, Fraction(exact_det(b.matrix))) for b in blocks_of(6, m)]
+        assert float(dets[0][1]) == 0.0
+        expected = sum(mult * (math.log(x.numerator) - math.log(x.denominator)) for mult, x in dets)
+        assert ld == pytest.approx(expected, rel=1e-12)
+
     def test_asymmetric_moments_against_dense_determinant(self):
         for k_factors in range(2, 11):
             for d in random_asymmetric_designs(k_factors, 4, seed=250 + k_factors):
