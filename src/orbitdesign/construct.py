@@ -96,8 +96,17 @@ def regime(k_factors: int, lower: int) -> str:
 
 def admissible_ells(k_factors: int) -> list[int]:
     """Intermediate orbits of the wide designs: B_K <= ell <= (K - sqrt(K))/2."""
-    K, disc = k_factors, _threshold_discriminant(k_factors)
-    return [ell for ell in range(K // 2 + 1) if K <= (K - 2 * ell) ** 2 <= disc]
+    return list(_ell_range(k_factors))
+
+
+def _ell_range(k_factors: int) -> range:
+    """The ell with K <= t^2 <= disc for t = K - 2 ell, i.e. ceil(sqrt K) <= t <= isqrt(disc)."""
+    K = k_factors
+    if K < 1:
+        return range(0)
+    t_max = math.isqrt(_threshold_discriminant(K))
+    t_min = math.isqrt(K - 1) + 1
+    return range((K - t_max + 1) // 2, (K - t_min) // 2 + 1)
 
 
 def full_factorial(k_factors: int) -> OrbitDesign:
@@ -145,14 +154,12 @@ def _check_identity_moments(design: OrbitDesign) -> None:
 class WideDesignSpec:
     """A fully efficient design mixing the outermost, an intermediate, and the
     central symmetric orbits; alpha is the mixing proportion of the outer
-    component and w_lower / w_ell the inner weights of the two components."""
+    component, 1 when the design has no intermediate orbit."""
 
     k_factors: int
     lower: int
     ell: Optional[int]
     alpha: Fraction
-    w_lower: Optional[Fraction]
-    w_ell: Optional[Fraction]
     design: OrbitDesign
 
 
@@ -178,7 +185,7 @@ def wide_design(k_factors: int, lower: int, ell: Optional[int] = None) -> WideDe
             raise OrbitDesignError(
                 f"for K={K} the design is the full factorial; ell does not apply"
             )
-        return WideDesignSpec(K, 0, None, Fraction(1), None, None, full_factorial(K))
+        return WideDesignSpec(K, 0, None, Fraction(1), full_factorial(K))
 
     kind = regime(K, lower)
     if kind == "narrow":
@@ -187,14 +194,11 @@ def wide_design(k_factors: int, lower: int, ell: Optional[int] = None) -> WideDe
             "use narrow_design"
         )
 
-    ells = admissible_ells(K)
+    ells = _ell_range(K)
     if ell is None:
         if kind == "threshold":
             # lower sits exactly at the threshold: the two-orbit design suffices.
-            return WideDesignSpec(
-                K, lower, None, Fraction(1), _inner_weight(K, lower), None,
-                lemma2_design(K),
-            )
+            return WideDesignSpec(K, lower, None, Fraction(1), lemma2_design(K))
         ell = ells[0]
     if ell <= lower:
         raise OrbitDesignError(f"ell must exceed the lower bound, got ell={ell} <= {lower}")
@@ -204,32 +208,30 @@ def wide_design(k_factors: int, lower: int, ell: Optional[int] = None) -> WideDe
             f"[{threshold_b(K):.4f}, {(K - math.sqrt(K)) / 2:.4f}]"
         )
 
-    w_low = _inner_weight(K, lower)
-    w_ell = _inner_weight(K, ell)
-    t_ell = K - 2 * ell
-    numer = _threshold_discriminant(K) - t_ell * t_ell
-    alpha = Fraction(numer, 4 * (ell - lower) * (K - lower - ell))
-    if not 0 <= alpha <= 1:
-        raise OrbitDesignError(f"mixing weight alpha={alpha} outside [0, 1]")
-
-    # The rest goes to the central orbit, split over its two halves for odd K.
-    center_weight = alpha * (1 - 2 * w_low) + (1 - alpha) * (1 - 2 * w_ell)
+    # With t_x = K - 2x, s_x = t_x^2 (even K) or t_x^2 - 1 (odd K) and
+    # c = K or K - 1, weight w_x = c / (2 s_x) on the pair x, K - x and the
+    # rest on the centre zero the second moment; mixing the L and ell
+    # components in proportion alpha = (disc - t_ell^2) / (t_L^2 - t_ell^2)
+    # zeroes the fourth.  Over q = 2 s_L s_ell (t_L^2 - t_ell^2) the weights
+    # alpha w_L and (1 - alpha) w_ell are integers.
+    odd = K % 2
+    t_low2, t_ell2 = (K - 2 * lower) ** 2, (K - 2 * ell) ** 2
+    numer, span = _threshold_discriminant(K) - t_ell2, t_low2 - t_ell2
+    if not 0 <= numer <= span:
+        raise OrbitDesignError(f"mixing weight alpha={Fraction(numer, span)} outside [0, 1]")
+    s_low, s_ell = t_low2 - odd, t_ell2 - odd
+    q = 2 * s_low * s_ell * span
+    n_low = (K - odd) * numer * s_ell
+    n_ell = (K - odd) * (span - numer) * s_low
     weights = {
-        lower: alpha * w_low,
-        ell: (1 - alpha) * w_ell,
-        K // 2: center_weight / (1 + K % 2),
+        lower: Fraction(n_low, q),
+        ell: Fraction(n_ell, q),
+        # The rest goes to the central orbit, split over its two halves for odd K.
+        K // 2: Fraction(q - 2 * (n_low + n_ell), q * (1 + odd)),
     }
-    design = OrbitDesign(K, {k: w for k, w in weights.items() if w > 0}, symmetric=True)
+    design = OrbitDesign(K, weights, symmetric=True)
     _check_identity_moments(design)
-    return WideDesignSpec(K, lower, ell, alpha, w_low, w_ell, design)
-
-
-def _inner_weight(k_factors: int, orbit: int) -> Fraction:
-    """Outer-orbit weight making the second moment of a three-orbit component zero."""
-    t = k_factors - 2 * orbit
-    if k_factors % 2 == 0:
-        return Fraction(k_factors, 2 * t * t)
-    return Fraction(k_factors - 1, 2 * (t * t - 1))
+    return WideDesignSpec(K, lower, ell, Fraction(numer, span), design)
 
 
 def minimize_scalar(

@@ -16,7 +16,8 @@ sign patterns directly:
     m_j = C(K,k)^-1 * sum_i (-1)^(i+j) C(j,i) C(K-j, k-i).
 
 Mixtures are linear in the orbit weights, so a design's moments follow from
-integer power sums of t over its weights (``design_moments``).
+integer power sums of t over its integer weights (``design_moments``; see
+``OrbitDesign``).
 """
 
 from __future__ import annotations
@@ -104,16 +105,14 @@ def orbit_moment_sum(k_factors: int, k: int, j: int) -> Fraction:
 def design_moments(design: OrbitDesign) -> MomentSet:
     """Exact moments of an invariant design; the immutable design keeps them.
 
-    Over the lcm of their denominators (a float is the binary rational it is)
-    the weights are integers n_k.  With the integer power sums S_i = sum_k n_k
-    t_k^i, m_j = sum_i c_i S_i / (d_j S_0) for P_j(t) = sum_i c_i t^i, one
-    Fraction each: exact for the design as stored, rescaled to total weight 1.
+    With the design's integer weights n_k and the power sums S_i = sum_k
+    n_k t_k^i, m_j = sum_i c_i S_i / (d_j S_0) for P_j(t) = sum_i c_i t^i,
+    one Fraction each: exact for the design as stored, rescaled to total
+    weight 1.
     """
     if design._moments is None:
         K = design.k_factors
-        ratios = [(2 * k - K, w.as_integer_ratio()) for k, w in design.weights().items()]
-        scale = math.lcm(*(d for _, (_, d) in ratios))
-        weights = [(t, n * (scale // d)) for t, (n, d) in ratios]
+        weights = [(2 * k - K, n) for k, n in design._numerators.items()]
         sums = [sum(n * t**i for t, n in weights) for i in range(5)]
         polys = (moment_polynomial(K, j) for j in range(1, 5))
         moments = MomentSet(*(Fraction(sum(map(mul, c, sums)), d * sums[0]) for c, d in polys))

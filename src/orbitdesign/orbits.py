@@ -6,6 +6,7 @@ the K factors partitions the cube into the K+1 orbits O_0, ..., O_K, and a
 permutation-invariant design is fully described by one weight per orbit.
 Under the additional sign-flip symmetry, orbits k and K-k are identified
 (symmetric orbits), and symmetric designs carry equal weight on both.
+``OrbitDesign`` holds its weights as integers over one denominator.
 
 Two listings of an orbit exist.  ``enumerate_orbit`` yields its points as
 tuples.  ``orbit_blocks`` yields the same points in the same order as
@@ -16,6 +17,7 @@ tuples.  ``orbit_blocks`` yields the same points in the same order as
 from __future__ import annotations
 
 import math
+import operator
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -138,10 +140,18 @@ class OrbitDesign:
     Weights are per orbit (the weight of an individual point is the orbit
     weight divided by the orbit size).  Symmetric designs -- equal weight on
     orbits k and K-k -- store only the half k <= K//2 and mirror on read, so
-    the mirror equality cannot drift.  It keeps the moments design_moments gives.
+    the mirror equality cannot drift.
+
+    The constructor reads the weights once, as integers over one denominator:
+    each weight is the rational w.as_integer_ratio() gives (a float is the
+    binary rational it is), and over the lcm of their denominators they are
+    integers n_k, mirror orbits included.  Negativity, the dropping of zero
+    weights and the sum rule are checked on those integers, and
+    design_moments takes its power sums from them.  The design keeps the
+    moments design_moments gives.
     """
 
-    __slots__ = ("k_factors", "symmetric", "_folded", "_moments")
+    __slots__ = ("k_factors", "symmetric", "_folded", "_numerators", "_moments")
 
     def __init__(
         self,
@@ -153,6 +163,7 @@ class OrbitDesign:
         if k_factors < 1:
             raise OrbitDesignError(f"factor count must be positive, got {k_factors}")
         folded: dict[int, Weight] = {}
+        ratios: dict[int, tuple[int, int]] = {}
         for k, w in weights.items():
             if not 0 <= k <= k_factors:
                 raise OrbitDesignError(f"orbit index must be in 0..{k_factors}, got {k}")
@@ -160,17 +171,34 @@ class OrbitDesign:
                 raise OrbitDesignError(
                     f"symmetric designs store orbits k <= {k_factors // 2} only, got {k}"
                 )
-            if w < 0:
+            try:
+                n, d = w.as_integer_ratio()
+            except AttributeError:  # numpy integers
+                n, d = operator.index(w), 1
+            except (ValueError, OverflowError):
+                raise OrbitDesignError(f"orbit weight must be finite, got {w} at k={k}") from None
+            if n < 0:
                 raise OrbitDesignError(f"orbit weight must be nonnegative, got {w} at k={k}")
-            if w > 0:
+            if n:
                 folded[k] = w
+                ratios[k] = n, d
+        scale = math.lcm(*(d for _, d in ratios.values()))
+        numerators = {k: n * (scale // d) for k, (n, d) in ratios.items()}
+        if symmetric:
+            numerators.update({k_factors - k: n for k, n in numerators.items()})
         object.__setattr__(self, "k_factors", k_factors)
         object.__setattr__(self, "symmetric", symmetric)
         object.__setattr__(self, "_folded", folded)
+        object.__setattr__(self, "_numerators", numerators)
         object.__setattr__(self, "_moments", None)
-        total = sum(self.weights().values())
-        if abs(total - 1) > WEIGHT_SUM_TOL:
-            raise OrbitDesignError(f"orbit weights must sum to 1, got {total}")
+        # |total / scale - 1| > WEIGHT_SUM_TOL, cross-multiplied: exact, and
+        # no quotient of huge integers has to fit a float.
+        total = sum(numerators.values())
+        tol_n, tol_d = WEIGHT_SUM_TOL.as_integer_ratio()
+        if abs(total - scale) * tol_d > tol_n * scale:
+            raise OrbitDesignError(
+                f"orbit weights must sum to 1, got {sum(self.weights().values())}"
+            )
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("OrbitDesign is immutable")
@@ -197,11 +225,11 @@ class OrbitDesign:
 
     def support(self) -> tuple[int, ...]:
         """Sorted orbit indices carrying positive weight."""
-        return tuple(sorted(self.weights()))
+        return tuple(sorted(self._numerators))
 
     def symmetric_support(self) -> tuple[int, ...]:
         """Sorted indices min(k, K-k) of the supported symmetric orbits."""
-        return tuple(sorted({min(k, self.k_factors - k) for k in self.weights()}))
+        return tuple(sorted({min(k, self.k_factors - k) for k in self._numerators}))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, OrbitDesign):

@@ -85,7 +85,71 @@ class TestLemma2:
             lemma2_design(8)
 
 
+def reference_wide_design(k_factors, lower, ell):
+    """Wide-design weights as Fraction algebra: alpha w_L on the L pair,
+    (1 - alpha) w_ell on the ell pair and the rest on the centre, with
+    w_x = K / (2 t_x^2) (even K) or (K - 1) / (2 (t_x^2 - 1)) (odd K) and
+    t_x = K - 2x; alpha = 1 without an ell.  Returns alpha and the expanded
+    weights."""
+    K = k_factors
+    disc = 3 * K - 2 if K % 2 == 0 else 3 * K
+
+    def inner(orbit):
+        t = K - 2 * orbit
+        return Fraction(K, 2 * t * t) if K % 2 == 0 else Fraction(K - 1, 2 * (t * t - 1))
+
+    alpha, w_ell = Fraction(1), Fraction(0)
+    if ell is not None:
+        alpha = Fraction(disc - (K - 2 * ell) ** 2, 4 * (ell - lower) * (K - lower - ell))
+        w_ell = inner(ell)
+    w_low = inner(lower)
+    center = alpha * (1 - 2 * w_low) + (1 - alpha) * (1 - 2 * w_ell)
+    half = {lower: alpha * w_low, K // 2: center / (1 + K % 2)}
+    if ell is not None:
+        half[ell] = (1 - alpha) * w_ell
+    weights = {}
+    for k, w in half.items():
+        if w > 0:
+            weights[k] = weights[K - k] = w
+    return alpha, weights
+
+
+def wide_and_threshold_regions(max_k):
+    """(K, L, default ell) of every wide and threshold region [L, K-L], K = 4..max_k."""
+    regions = []
+    for K in range(4, max_k + 1):
+        disc = 3 * K - 2 if K % 2 == 0 else 3 * K
+        ells = [e for e in range(K // 2 + 1) if K <= (K - 2 * e) ** 2 <= disc]
+        for lower in range(K // 2):
+            t2 = (K - 2 * lower) ** 2
+            if t2 >= disc:
+                regions.append((K, lower, ells[0] if t2 > disc else None))
+    return regions
+
+
 class TestWideDesign:
+    def test_weights_equal_fraction_reference(self):
+        regions = wide_and_threshold_regions(100)
+        assert len(regions) == 1998
+        for k_factors, lower, ell in regions:
+            spec = wide_design(k_factors, lower)
+            alpha, weights = reference_wide_design(k_factors, lower, ell)
+            assert spec.ell == ell
+            assert spec.alpha == alpha
+            assert spec.design.weights() == weights, (k_factors, lower)
+            assert design_moments(spec.design) == MomentSet(0, 0, 0, 0)
+
+    def test_every_admissible_ell_equals_fraction_reference(self):
+        # Includes ell at the threshold (alpha = 0, the L pair drops out)
+        # and L at the threshold (alpha = 1, the ell pair drops out).
+        for k_factors, lower, _ in wide_and_threshold_regions(40):
+            for ell in admissible_ells(k_factors):
+                if ell > lower:
+                    spec = wide_design(k_factors, lower, ell)
+                    alpha, weights = reference_wide_design(k_factors, lower, ell)
+                    assert spec.alpha == alpha
+                    assert spec.design.weights() == weights, (k_factors, lower, ell)
+
     @pytest.mark.parametrize("row", WIDE_ROWS, ids=lambda r: f"K{r[0]}-L{r[1]}-ell{r[2]}")
     def test_reference_rows(self, row):
         k_factors, lower, ell, center, w_low, w_ell, w_center, _ = row
@@ -289,6 +353,13 @@ class TestRegime:
             assert ells == list(range(ells[0], ells[-1] + 1))
             assert threshold_b(k_factors) <= ells[0]
             assert ells[-1] <= (k_factors - math.sqrt(k_factors)) / 2
+
+    def test_admissible_ells_match_their_definition(self):
+        # Every ell with K <= (K - 2 ell)^2 <= disc, by a scan over 0..K/2.
+        for K in range(-3, 400):
+            disc = 3 * K - 2 if K % 2 == 0 else 3 * K
+            scan = [ell for ell in range(K // 2 + 1) if K <= (K - 2 * ell) ** 2 <= disc]
+            assert admissible_ells(K) == scan, K
 
     def test_wide_design_beyond_centre_rejected(self):
         # The L = 1 design is supported on {1, 3, 5}, outside [5, 6].

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import random
 from fractions import Fraction
 from math import prod
 
@@ -128,6 +129,67 @@ class TestDesignMoments:
         total = 2 * w2 + w3
         assert isinstance(m.m2, Fraction) and isinstance(m.m4, Fraction)
         assert m.m2 == (2 * w2 * orbit_moment(6, 2, 2) + w3 * orbit_moment(6, 3, 2)) / total
+
+
+def random_weights(rng, k_factors, kind, symmetric):
+    """Random weights of one numeric kind on a random support.
+
+    "float" and "fraction" weights are r_k / total for random integers r_k;
+    "int" puts an int 1 on one orbit and int 0 on others; "mixed" draws each
+    nonzero weight as a float or a Fraction and writes some zeros as int 0.
+    """
+    orbits = list(range(k_factors // 2 + 1 if symmetric else k_factors + 1))
+    mass = {k: 2 if symmetric and 2 * k != k_factors else 1 for k in orbits}
+    if kind == "int":
+        chosen = rng.choice([k for k in orbits if mass[k] == 1])
+        zeros = rng.sample(orbits, rng.randint(0, len(orbits) - 1))
+        return {k: 0 for k in zeros if k != chosen} | {chosen: 1}
+    support = rng.sample(orbits, rng.randint(1, len(orbits)))
+    raw = {k: rng.randint(1, 10**6) for k in support}
+    total = sum(mass[k] * r for k, r in raw.items())
+    weights = {}
+    for k, r in raw.items():
+        as_float = kind == "float" or (kind == "mixed" and rng.random() < 0.5)
+        weights[k] = r / total if as_float else Fraction(r, total)
+    if kind == "mixed":
+        weights |= {k: 0 for k in orbits if k not in raw and rng.random() < 0.5}
+    return weights
+
+
+def random_designs():
+    rng = random.Random(1511)
+    designs = []
+    for k_factors in range(2, 41):
+        for symmetric in (False, True):
+            for kind in ("float", "fraction", "int", "mixed"):
+                if kind == "int" and symmetric and k_factors % 2:
+                    continue  # every symmetric orbit of odd K has mass 2
+                weights = random_weights(rng, k_factors, kind, symmetric)
+                designs.append(OrbitDesign(k_factors, weights, symmetric=symmetric))
+    return designs
+
+
+class TestSharedIntegerRead:
+    def test_design_moments_equal_fraction_mixture(self):
+        designs = random_designs()
+        assert len(designs) == 293
+        for d in designs:
+            K = d.k_factors
+            weights = {k: Fraction(w) for k, w in d.weights().items()}
+            total = sum(weights.values())
+            expected = MomentSet(*(
+                sum(w * orbit_moment(K, k, j) for k, w in weights.items()) / total
+                for j in range(1, 5)
+            ))
+            assert design_moments(d) == expected, d
+
+    def test_integers_are_proportional_to_the_weights(self):
+        for d in random_designs():
+            weights = {k: Fraction(w) for k, w in d.weights().items()}
+            numerators = d._numerators
+            assert numerators.keys() == weights.keys()
+            assert all(type(n) is int for n in numerators.values())
+            assert len({numerators[k] / w for k, w in weights.items()}) == 1, d
 
 
 class TestMomentSet:

@@ -8,10 +8,13 @@ from fractions import Fraction
 import pytest
 
 from orbitdesign import (
+    MomentSet,
     OrbitDesign,
     OrbitDesignError,
     Region,
+    design_moments,
     enumerate_orbit,
+    orbit_moment,
     orbit_size,
     point_weight,
 )
@@ -155,6 +158,40 @@ class TestOrbitDesign:
     def test_zero_weights_dropped(self):
         d = OrbitDesign(4, {0: Fraction(0), 2: Fraction(1)})
         assert d.support() == (2,)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_weight_rejected(self, bad):
+        # NaN fails both w < 0 and w > 0, so a sign test alone would drop it.
+        with pytest.raises(OrbitDesignError, match="must be finite.*at k=0"):
+            OrbitDesign(4, {0: bad, 2: 1.0})
+        with pytest.raises(OrbitDesignError, match="must be finite.*at k=1"):
+            OrbitDesign(4, {1: bad, 2: 0.5}, symmetric=True)
+
+    def test_weight_sum_rule_is_exact(self):
+        for offset, accepted in ((Fraction(5, 10**13), True), (Fraction(2, 10**12), False)):
+            for sign in (1, -1):
+                weights = {2: Fraction(1, 2), 3: Fraction(1, 2) + sign * offset}
+                if accepted:
+                    assert OrbitDesign(6, weights).support() == (2, 3)
+                else:
+                    with pytest.raises(OrbitDesignError, match="must sum to 1"):
+                        OrbitDesign(6, weights)
+        # A total beyond the float range is rejected, not an OverflowError.
+        with pytest.raises(OrbitDesignError, match="must sum to 1, got inf"):
+            OrbitDesign(6, {2: 1e308, 3: 1e308})
+
+    def test_ten_float_tenths_accepted(self):
+        # The float sum reads 0.9999999999999999; the exact sum of the ten
+        # binary rationals is within 1e-15 of 1.
+        assert sum([0.1] * 10) != 1
+        d = OrbitDesign(12, dict.fromkeys(range(10), 0.1))
+        assert d.support() == tuple(range(10))
+
+    def test_numpy_integer_weight_is_read(self):
+        np = pytest.importorskip("numpy")
+        d = OrbitDesign(4, {2: np.int64(1), 0: np.int64(0)})
+        assert d.support() == (2,)
+        assert design_moments(d) == MomentSet(*(orbit_moment(4, 2, j) for j in range(1, 5)))
 
     def test_immutable(self):
         d = OrbitDesign(4, {2: Fraction(1)})
