@@ -73,6 +73,19 @@ def _orbit_rows(design: OrbitDesign) -> list[tuple[int, float, float, int]]:
     return rows
 
 
+def _digits(size: int) -> str:
+    """All digits of an orbit size, past the int-to-str digit limit (K >= 14,292) too."""
+    try:
+        return str(size)
+    except ValueError:
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
+        try:
+            return str(size)
+        finally:
+            sys.set_int_max_str_digits(limit)
+
+
 def _print_report(result: OptimalDesign) -> None:
     kw = result.kw_report
     print(
@@ -82,7 +95,7 @@ def _print_report(result: OptimalDesign) -> None:
     print(f"regime: {result.regime}")
     print(f"{'k':>4} {'orbit_weight':>14} {'point_weight':>14} {'size':>6}")
     for k, orbit_weight, point_weight, size in _orbit_rows(result.design):
-        print(f"{k:>4} {orbit_weight:>14.8f} {point_weight:>14.8f} {size:>6}")
+        print(f"{k:>4} {orbit_weight:>14.8f} {point_weight:>14.8f} {_digits(size):>6}")
     m = result.moments.as_floats()
     print(f"moments: m1={m.m1:.8g} m2={m.m2:.8g} m3={m.m3:.8g} m4={m.m4:.8g}")
     print(f"log det = {result.log_det:.12g}   D-efficiency = {result.d_efficiency:.6f}")
@@ -112,7 +125,7 @@ def _write_design_json(path: str, design: OrbitDesign, lower: int, upper: int) -
 def _write_design_csv(path: str, design: OrbitDesign) -> None:
     lines = ["k,orbit_weight,point_weight,orbit_size"]
     for k, orbit_weight, point_weight, size in _orbit_rows(design):
-        lines.append(f"{k},{orbit_weight:.17g},{point_weight:.17g},{size}")
+        lines.append(f"{k},{orbit_weight:.17g},{point_weight:.17g},{_digits(size)}")
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
 
@@ -462,7 +475,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except (SingularDesignError, UnsupportedRegionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_SINGULAR
-    except OrbitDesignError as exc:
+    except (OrbitDesignError, OSError) as exc:  # OSError: an output cannot be written
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -34,9 +34,8 @@ equivalent to K - 2L > 0 and (K - 2L)^2 >= 3K - 2 (even K) resp. >= 3K
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 from .exceptions import (
     EstimabilityError,
@@ -150,8 +149,7 @@ def _check_identity_moments(design: OrbitDesign) -> None:
         raise OrbitDesignError(f"construction failed to zero the moments: {m}")
 
 
-@dataclass(frozen=True)
-class WideDesignSpec:
+class WideDesignSpec(NamedTuple):
     """A fully efficient design mixing the outermost, an intermediate, and the
     central symmetric orbits; alpha is the mixing proportion of the outer
     component, 1 when the design has no intermediate orbit."""
@@ -287,8 +285,7 @@ def log_det_slope(polynomials: list[tuple[int, tuple[int, ...]]], x: Fraction) -
     return total
 
 
-@dataclass(frozen=True)
-class NarrowDesignSpec:
+class NarrowDesignSpec(NamedTuple):
     """Optimized two-symmetric-orbit design for narrow bounds.
 
     w_star is the double nearest the exact optimum.  evaluations counts the
@@ -398,8 +395,7 @@ def narrow_design(k_factors: int, lower: int) -> NarrowDesignSpec:
     )
 
 
-@dataclass(frozen=True)
-class OptimalDesign:
+class OptimalDesign(NamedTuple):
     """The optimal design of a region [lower, upper] with its certificate.
 
     moments are the exact moments of the stored design, log_det and
@@ -453,7 +449,7 @@ def optimal_design(
     else:
         spec = narrow_design(K, lower)
         design, ld = spec.design, spec.log_det
-        report = replace(spec.kw_report, tol=tol)
+        report = spec.kw_report._replace(tol=tol)
     return OptimalDesign(
         K, lower, upper, kind, design, report.moments, ld,
         d_efficiency_from_log_det(K, ld), report,

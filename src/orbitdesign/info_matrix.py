@@ -40,7 +40,6 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, combinations
 from operator import mul
@@ -55,8 +54,8 @@ if TYPE_CHECKING:
 
 Numeric = Union[Fraction, float, int]
 
-@dataclass(frozen=True)
-class ModelDims:
+
+class ModelDims(NamedTuple):
     """Parameter counts of the interaction model for K factors."""
 
     k_factors: int
@@ -76,8 +75,7 @@ def interaction_pairs(k_factors: int) -> list[tuple[int, int]]:
     return list(combinations(range(k_factors), 2))
 
 
-@dataclass(frozen=True)
-class InfoMatrix:
+class InfoMatrix(NamedTuple):
     """Dense information matrix plus the moments it was assembled from."""
 
     dims: ModelDims
@@ -93,8 +91,7 @@ class Block(NamedTuple):
     mult: int
 
 
-@dataclass(frozen=True)
-class RegularityReport:
+class RegularityReport(NamedTuple):
     """Outcome of the nonsingularity test for a symmetric invariant design."""
 
     regular: bool

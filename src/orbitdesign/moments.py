@@ -23,7 +23,7 @@ integer power sums of t over its integer weights (``design_moments``; see
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from operator import mul
 from typing import Union
@@ -34,24 +34,26 @@ from .orbits import OrbitDesign
 Numeric = Union[Fraction, float, int]
 
 
-@dataclass(frozen=True)
-class MomentSet:
-    """The four invariant moments of a design; exact zeros for symmetric odd moments."""
+class MomentSet(namedtuple("MomentSet", "m1 m2 m3 m4")):
+    """The four invariant moments of a design; exact zeros for symmetric odd moments.
 
-    m1: Numeric
-    m2: Numeric
-    m3: Numeric
-    m4: Numeric
+    The constructor checks |m_j| <= 1.  design_moments and as_floats build
+    theirs with _make, which skips the check: their values are mixtures of
+    orbit moments, in [-1, 1] by construction.
+    """
 
-    def __post_init__(self) -> None:
-        for name in ("m1", "m2", "m3", "m4"):
-            value = getattr(self, name)
+    __slots__ = ()
+
+    def __new__(cls, m1: Numeric, m2: Numeric, m3: Numeric, m4: Numeric) -> "MomentSet":
+        self = super().__new__(cls, m1, m2, m3, m4)
+        for name, value in zip(cls._fields, self):
             # Small slack: float mixing can overshoot the exact bound by ulps.
             if not abs(float(value)) <= 1 + 1e-9:
                 raise OrbitDesignError(f"moment {name}={value} outside [-1, 1]")
+        return self
 
     def as_floats(self) -> "MomentSet":
-        return MomentSet(float(self.m1), float(self.m2), float(self.m3), float(self.m4))
+        return MomentSet._make(map(float, self))
 
 
 def _check_args(k_factors: int, k: int, j: int) -> None:
@@ -115,6 +117,6 @@ def design_moments(design: OrbitDesign) -> MomentSet:
         weights = [(2 * k - K, n) for k, n in design._numerators.items()]
         sums = [sum(n * t**i for t, n in weights) for i in range(5)]
         polys = (moment_polynomial(K, j) for j in range(1, 5))
-        moments = MomentSet(*(Fraction(sum(map(mul, c, sums)), d * sums[0]) for c, d in polys))
+        moments = MomentSet._make(Fraction(sum(map(mul, c, sums)), d * sums[0]) for c, d in polys)
         object.__setattr__(design, "_moments", moments)
     return design._moments

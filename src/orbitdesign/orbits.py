@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 import operator
 import sys
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from functools import cache
 from itertools import combinations, product
@@ -106,41 +106,33 @@ def orbit_blocks(k_factors: int, k: int) -> Iterator[tuple[str, tuple[str, ...]]
             stack.append((prefix + "+", free - 1, active - 1))
 
 
-@dataclass(frozen=True)
-class Region:
+class Region(namedtuple("Region", "k_factors lower upper")):
     """Design region: all cube points whose active count lies in [lower, upper]."""
 
-    k_factors: int
-    lower: int
-    upper: int
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.k_factors < 1:
-            raise OrbitDesignError(f"factor count must be positive, got {self.k_factors}")
-        if not 0 <= self.lower <= self.upper <= self.k_factors:
+    def __new__(cls, k_factors: int, lower: int, upper: int) -> "Region":
+        if k_factors < 1:
+            raise OrbitDesignError(f"factor count must be positive, got {k_factors}")
+        if not 0 <= lower <= upper <= k_factors:
             raise OrbitDesignError(
-                f"need 0 <= lower <= upper <= {self.k_factors}, "
-                f"got lower={self.lower}, upper={self.upper}"
+                f"need 0 <= lower <= upper <= {k_factors}, "
+                f"got lower={lower}, upper={upper}"
             )
+        return super().__new__(cls, k_factors, lower, upper)
 
     def symmetric(self) -> bool:
         """True when the bounds are mirror images (lower + upper == K)."""
         return self.lower + self.upper == self.k_factors
-
-    def orbit_indices(self) -> range:
-        return range(self.lower, self.upper + 1)
-
-    def contains_orbit(self, k: int) -> bool:
-        return self.lower <= k <= self.upper
 
 
 class OrbitDesign:
     """Permutation-invariant approximate design: orbit index -> orbit weight.
 
     Weights are per orbit (the weight of an individual point is the orbit
-    weight divided by the orbit size).  Symmetric designs -- equal weight on
-    orbits k and K-k -- store only the half k <= K//2 and mirror on read, so
-    the mirror equality cannot drift.
+    weight divided by the orbit size).  A symmetric design -- equal weight on
+    orbits k and K-k -- is given by its half k <= K//2, and the constructor
+    writes each of its weights to both orbits.
 
     The constructor reads the weights once, as integers over one denominator:
     each weight is the rational w.as_integer_ratio() gives (a float is the
@@ -151,7 +143,7 @@ class OrbitDesign:
     moments design_moments gives.
     """
 
-    __slots__ = ("k_factors", "symmetric", "_folded", "_numerators", "_moments")
+    __slots__ = ("k_factors", "symmetric", "_weights", "_numerators", "_moments")
 
     def __init__(
         self,
@@ -162,7 +154,7 @@ class OrbitDesign:
     ) -> None:
         if k_factors < 1:
             raise OrbitDesignError(f"factor count must be positive, got {k_factors}")
-        folded: dict[int, Weight] = {}
+        stored: dict[int, Weight] = {}
         ratios: dict[int, tuple[int, int]] = {}
         for k, w in weights.items():
             if not 0 <= k <= k_factors:
@@ -180,15 +172,13 @@ class OrbitDesign:
             if n < 0:
                 raise OrbitDesignError(f"orbit weight must be nonnegative, got {w} at k={k}")
             if n:
-                folded[k] = w
-                ratios[k] = n, d
+                for j in (k, k_factors - k) if symmetric else (k,):
+                    stored[j], ratios[j] = w, (n, d)
         scale = math.lcm(*(d for _, d in ratios.values()))
         numerators = {k: n * (scale // d) for k, (n, d) in ratios.items()}
-        if symmetric:
-            numerators.update({k_factors - k: n for k, n in numerators.items()})
         object.__setattr__(self, "k_factors", k_factors)
         object.__setattr__(self, "symmetric", symmetric)
-        object.__setattr__(self, "_folded", folded)
+        object.__setattr__(self, "_weights", stored)
         object.__setattr__(self, "_numerators", numerators)
         object.__setattr__(self, "_moments", None)
         # |total / scale - 1| > WEIGHT_SUM_TOL, cross-multiplied: exact, and
@@ -205,23 +195,11 @@ class OrbitDesign:
 
     def weight(self, k: int) -> Weight:
         """Weight of orbit k; 0 for unsupported orbits."""
-        if not 0 <= k <= self.k_factors:
-            return 0
-        if self.symmetric:
-            k = min(k, self.k_factors - k)
-        return self._folded.get(k, 0)
+        return self._weights.get(k, 0)
 
     def weights(self) -> dict[int, Weight]:
-        """Fully expanded orbit-weight map (mirror orbits included)."""
-        if not self.symmetric:
-            return dict(self._folded)
-        expanded: dict[int, Weight] = {}
-        for k, w in self._folded.items():
-            expanded[k] = w
-            mirror = self.k_factors - k
-            if mirror != k:
-                expanded[mirror] = w
-        return expanded
+        """Orbit-weight map, mirror orbits included (a copy)."""
+        return dict(self._weights)
 
     def support(self) -> tuple[int, ...]:
         """Sorted orbit indices carrying positive weight."""

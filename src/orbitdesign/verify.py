@@ -36,11 +36,10 @@ is the one part of this module that needs numpy, imported when called.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from operator import mul
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 from .exceptions import OrbitDesignError
 from .info_matrix import (
@@ -59,8 +58,7 @@ if TYPE_CHECKING:
 BRUTE_FORCE_MAX_K = 12
 
 
-@dataclass(frozen=True)
-class SensitivityPoly:
+class SensitivityPoly(NamedTuple):
     """Quartic in t = 2k - K giving the sensitivity value on each orbit, as
     integer numerators c_0..c_4 over one positive integer denominator; the
     coefficients are the Fractions a_i = c_i / denominator."""
@@ -81,8 +79,7 @@ class SensitivityPoly:
         return Fraction((((c4 * t + c3) * t + c2) * t + c1) * t + c0, self.denominator)
 
 
-@dataclass(frozen=True)
-class KwReport:
+class KwReport(NamedTuple):
     """Result of the equivalence-theorem check over a region of orbits.
 
     moments are the exact design moments the check was computed from; the

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import ast
 import json
+import math
 import os
 import subprocess
 import sys
@@ -161,6 +162,27 @@ class TestOptimal:
         for _, orbit_weight, point_weight, size in rows:
             exact = Fraction(float(orbit_weight)) / int(size)
             assert float(point_weight) == float(exact) > 0
+
+    def test_orbit_sizes_past_the_digit_limit(self, capsys, tmp_path):
+        # C(14292, 7146) has more digits than int-to-str conversion allows by
+        # default (4,300); the sizes are written in full and the limit is
+        # restored afterwards.
+        limit = sys.get_int_max_str_digits()
+        path = tmp_path / "design.csv"
+        code, out, err = run_cli(
+            capsys, "optimal", "--k", "14292", "--lower", "0", "--csv", str(path)
+        )
+        assert code == 0 and err == ""
+        assert out.splitlines()[-1].endswith("-> PASS")
+        assert sys.get_int_max_str_digits() == limit
+        rows = [line.split(",") for line in path.read_text(encoding="utf-8").splitlines()[1:]]
+        sys.set_int_max_str_digits(0)
+        try:
+            sizes = [int(size) for *_, size in rows]
+        finally:
+            sys.set_int_max_str_digits(limit)
+        assert sizes == [math.comb(14292, int(k)) for k, *_ in rows]
+        assert sizes[len(sizes) // 2] > 10**limit  # the central orbit
 
     def test_tight_tolerance_fails(self, capsys):
         # The certificate is exact; 1e-20 is below its rounding to float.
@@ -545,6 +567,23 @@ def test_unreadable_design_file_rejected(capsys, tmp_path, command, content):
     assert "cannot read design file" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("optimal", "--k", "6", "--lower", "2", "--json"),
+        ("optimal", "--k", "6", "--lower", "2", "--csv"),
+        ("tables", "--which", "wide", "--k", "6", "--csv"),
+        ("expand", "--k", "6", "--lower", "2", "--csv"),
+    ],
+    ids=["optimal-json", "optimal-csv", "tables-csv", "expand-csv"],
+)
+def test_unwritable_output_file_is_file_error(capsys, tmp_path, argv):
+    path = tmp_path / "missing" / "out"
+    code, _, err = run_cli(capsys, *argv, str(path))
+    assert code == 2
+    assert err.startswith("error: ") and str(path) in err
+
+
 def test_cli_imports_no_private_names():
     # Regime rules and other internals stay in the library modules.
     tree = ast.parse(Path(orbitdesign.cli.__file__).read_text(encoding="utf-8"))
@@ -596,16 +635,19 @@ class TestEntryPoints:
         assert proc.stdout.strip() == "[]"
 
     def test_cli_import_leaves_json_unloaded(self):
-        # Only design files need json; a cold command without one skips its import.
+        # Only design files need json; a cold command without one skips its
+        # import.  The records are tuples, so dataclasses and the inspect it
+        # pulls in stay unloaded too.
+        modules = ("json", "dataclasses", "inspect")
         proc = subprocess.run(
             [sys.executable, "-S", "-c",
-             "import sys, orbitdesign.cli; print('json' in sys.modules)"],
+             f"import sys, orbitdesign.cli; print([m for m in {modules} if m in sys.modules])"],
             capture_output=True,
             text=True,
             env=child_env(),
         )
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.strip() == "False"
+        assert proc.stdout.strip() == "[]"
 
     def test_expand_through_pipe(self):
         # The cold path of the expand benchmark: bytes read through a pipe.

@@ -126,11 +126,6 @@ class TestRegion:
         with pytest.raises(OrbitDesignError):
             Region(6, 0, 7)
 
-    def test_orbit_membership(self):
-        region = Region(6, 2, 4)
-        assert list(region.orbit_indices()) == [2, 3, 4]
-        assert region.contains_orbit(2) and not region.contains_orbit(5)
-
 
 class TestOrbitDesign:
     def test_symmetric_mirrors_on_read(self):
