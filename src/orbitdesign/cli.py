@@ -13,17 +13,22 @@ Design file format (JSON, orbit weights, not point weights):
   {"k": 6, "lower": 2, "upper": 4,
    "orbits": [{"k": 2, "weight": 0.3865}, ...]}
 
+K policy: optimal and verify work on orbit weights and moments, and take
+any K >= 2.  expand lists points, and refuses a design with an orbit of
+more than C(64, 32) points before it writes anything.
+
 Exit codes: 0 success / check passed, 2 usage or file error,
-3 singular or non-estimable region, 4 equivalence check failed.
+3 singular or non-estimable region, 4 equivalence check failed,
+141 output pipe closed by its reader (as a tool killed by SIGPIPE).
 """
 
 from __future__ import annotations
 
 import argparse
 import math
+import os
 import sys
 from contextlib import nullcontext
-from fractions import Fraction
 from itertools import chain
 from typing import Iterator, Optional, Sequence
 
@@ -41,13 +46,23 @@ from .exceptions import (
     SingularDesignError,
     UnsupportedRegionError,
 )
-from .orbits import MAX_BINOMIAL_K, OrbitDesign, Region, orbit_blocks, orbit_size
+from .orbits import (
+    OrbitDesign,
+    Region,
+    Weight,
+    listed_size,
+    orbit_blocks,
+    orbit_size,
+    size_digits,
+    weight_per_point,
+)
 from .verify import kw_check
 
 EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_SINGULAR = 3
 EXIT_KW_FAIL = 4
+EXIT_BROKEN_PIPE = 141
 
 WIDE_TABLE_K = tuple(range(4, 13)) + (22,)
 NARROW_TABLE_K = tuple(range(4, 23))
@@ -57,33 +72,14 @@ NARROW_TABLE_K = tuple(range(4, 23))
 # single lines.
 EXPAND_CHUNK_LINES = 8192
 
-# expand refuses a design with an orbit of more points than this, the size
-# of the central orbit at K = MAX_BINOMIAL_K.
-MAX_EXPAND_ORBIT_POINTS = math.comb(MAX_BINOMIAL_K, MAX_BINOMIAL_K // 2)
-
 
 def _orbit_rows(design: OrbitDesign) -> list[tuple[int, float, float, int]]:
     """(k, orbit weight, point weight, orbit size) per supported orbit, ascending k."""
     rows = []
     for k, w in sorted(design.weights().items()):
         size, weight = orbit_size(design.k_factors, k), float(w)
-        # An orbit size beyond the float range (K >= 1,030) is divided exactly.
-        point = weight / size if size <= sys.float_info.max else float(Fraction(weight) / size)
-        rows.append((k, weight, point, size))
+        rows.append((k, weight, weight_per_point(weight, size), size))
     return rows
-
-
-def _digits(size: int) -> str:
-    """All digits of an orbit size, past the int-to-str digit limit (K >= 14,292) too."""
-    try:
-        return str(size)
-    except ValueError:
-        limit = sys.get_int_max_str_digits()
-        sys.set_int_max_str_digits(0)
-        try:
-            return str(size)
-        finally:
-            sys.set_int_max_str_digits(limit)
 
 
 def _print_report(result: OptimalDesign) -> None:
@@ -95,7 +91,7 @@ def _print_report(result: OptimalDesign) -> None:
     print(f"regime: {result.regime}")
     print(f"{'k':>4} {'orbit_weight':>14} {'point_weight':>14} {'size':>6}")
     for k, orbit_weight, point_weight, size in _orbit_rows(result.design):
-        print(f"{k:>4} {orbit_weight:>14.8f} {point_weight:>14.8f} {_digits(size):>6}")
+        print(f"{k:>4} {orbit_weight:>14.8f} {point_weight:>14.8f} {size_digits(size):>6}")
     m = result.moments.as_floats()
     print(f"moments: m1={m.m1:.8g} m2={m.m2:.8g} m3={m.m3:.8g} m4={m.m4:.8g}")
     print(f"log det = {result.log_det:.12g}   D-efficiency = {result.d_efficiency:.6f}")
@@ -125,7 +121,7 @@ def _write_design_json(path: str, design: OrbitDesign, lower: int, upper: int) -
 def _write_design_csv(path: str, design: OrbitDesign) -> None:
     lines = ["k,orbit_weight,point_weight,orbit_size"]
     for k, orbit_weight, point_weight, size in _orbit_rows(design):
-        lines.append(f"{k},{orbit_weight:.17g},{point_weight:.17g},{_digits(size)}")
+        lines.append(f"{k},{orbit_weight:.17g},{point_weight:.17g},{size_digits(size)}")
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
 
@@ -223,98 +219,70 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     return EXIT_OK if report.passed else EXIT_KW_FAIL
 
 
-def _format_weight(value: Optional[float]) -> str:
-    return "-" if value is None else f"{value:.4f}"
+def _table_weight(value: Weight) -> str:
+    """A weight of the wide table; '-' for an orbit the design leaves empty."""
+    return f"{float(value):.4f}" if value else "-"
 
 
-def _wide_rows(k_factors: int) -> list[tuple]:
-    """Rows (K, L, ell, c, w_L, w_ell, w_c, B_K) of the wide-bounds table."""
-    K = k_factors
-    ells = admissible_ells(K)
-    lowers = [low for low in range(K // 2 + 1) if regime(K, low) != "narrow"]
-    center = K // 2
+def _wide_rows(k_factors: int) -> list[str]:
+    """Lines 'K L ell c w_L w_ell w_c B_K' of the wide-bounds table."""
+    K, center = k_factors, k_factors // 2
     rows = []
-    for low in lowers:
-        for ell in ells:
+    for low in range(K // 2 + 1):
+        if regime(K, low) == "narrow":
+            continue
+        for ell in admissible_ells(K):
             if ell < low:
                 continue
             # ell == low happens only when low sits exactly at the threshold;
             # that is the two-orbit row, printed without an ell entry.
-            spec = wide_design(K, low, None if ell == low else ell)
-            design = spec.design
-            w_low = float(design.weight(low)) if design.weight(low) else None
-            w_ell = None
-            if ell != low and design.weight(ell):
-                w_ell = float(design.weight(ell))
+            two_orbit = ell == low
+            weight = wide_design(K, low, None if two_orbit else ell).design.weight
             rows.append(
-                (
-                    K,
-                    low,
-                    None if ell == low else ell,
-                    center,
-                    w_low,
-                    w_ell,
-                    float(design.weight(center)),
-                    threshold_b(K),
-                )
+                f"{K} {low} {'-' if two_orbit else ell} {center} "
+                f"{_table_weight(weight(low))} "
+                f"{_table_weight(0 if two_orbit else weight(ell))} "
+                f"{float(weight(center)):.4f} {threshold_b(K):.2f}"
             )
     return rows
 
 
-def _narrow_rows(k_factors: int) -> list[tuple]:
-    """Rows (K, L, c, w_L, w_c, efficiency, B_K) of the narrow-bounds table.
+def _narrow_rows(k_factors: int) -> list[str]:
+    """Lines 'K L c w_L w_c efficiency B_K' of the narrow-bounds table.
 
     Lower bounds range over (K - sqrt(3K - 2))/2 < L < K/2; for odd K the
     value L with (K - 2L)^2 = 3K - 2 is excluded here (matching the
     published listing) although narrow_design handles it.
     """
-    K = k_factors
-    center = K // 2
+    K, center = k_factors, k_factors // 2
     rows = []
-    for low in range(K // 2 + 1):
+    for low in range(center):
         if (K - 2 * low) ** 2 >= 3 * K - 2:
-            continue
-        if low >= center:
             continue
         spec = narrow_design(K, low)
         rows.append(
-            (
-                K,
-                low,
-                center,
-                spec.w_star,
-                float(spec.design.weight(center)),
-                spec.d_efficiency,
-                threshold_b(K),
-            )
+            f"{K} {low} {center} {spec.w_star:.4f} "
+            f"{float(spec.design.weight(center)):.4f} {spec.d_efficiency:.4f} "
+            f"{threshold_b(K):.2f}"
         )
     return rows
+
+
+_TABLES = (
+    ("wide", "K L ell c w_L w_ell w_c B_K", WIDE_TABLE_K, _wide_rows),
+    ("narrow", "K L c w_L w_c efficiency B_K", NARROW_TABLE_K, _narrow_rows),
+)
 
 
 def _cmd_tables(args: argparse.Namespace) -> int:
     if args.k is not None and not 4 <= args.k <= 22:
         raise OrbitDesignError(f"tables cover 4 <= K <= 22, got {args.k}")
     lines: list[str] = []
-    if args.which in ("wide", "both"):
-        lines.append("K L ell c w_L w_ell w_c B_K")
-        ks = (args.k,) if args.k is not None else WIDE_TABLE_K
-        for key in ks:
-            for row in _wide_rows(key):
-                K, low, ell, center, w_low, w_ell, w_c, b_k = row
-                lines.append(
-                    f"{K} {low} {'-' if ell is None else ell} {center} "
-                    f"{_format_weight(w_low)} {_format_weight(w_ell)} "
-                    f"{_format_weight(w_c)} {b_k:.2f}"
-                )
-    if args.which in ("narrow", "both"):
-        lines.append("K L c w_L w_c efficiency B_K")
-        ks = (args.k,) if args.k is not None else NARROW_TABLE_K
-        for key in ks:
-            for row in _narrow_rows(key):
-                K, low, center, w_low, w_c, eff, b_k = row
-                lines.append(
-                    f"{K} {low} {center} {w_low:.4f} {w_c:.4f} {eff:.4f} {b_k:.2f}"
-                )
+    for which, header, table_ks, rows in _TABLES:
+        if args.which in (which, "both"):
+            lines.append(header)
+            for key in table_ks if args.k is None else (args.k,):
+                lines.extend(rows(key))
     output = "\n".join(lines) + "\n"
     sys.stdout.write(output)
     if args.csv:
@@ -326,22 +294,16 @@ def _cmd_tables(args: argparse.Namespace) -> int:
 def _expand_chunks(design: OrbitDesign, n: Optional[int]) -> Iterator[str]:
     """The output of expand in chunks of about EXPAND_CHUNK_LINES lines.
 
-    The first chunk carries the header.  Before it is built, a design with
-    an orbit of more than MAX_EXPAND_ORBIT_POINTS points is refused, so a
-    refused expansion fails on the first draw and writes nothing.  Each
-    orbit comes from orbit_blocks as (prefix, suffixes) blocks; the line
-    endings of a suffix list are built once per orbit, and a block is its
-    prefix joined with them.  A chunk closes after the block that reaches
-    EXPAND_CHUNK_LINES, so it overshoots by less than one block, at most
-    C(10, 5) = 252 lines.
+    The first chunk carries the header.  Before it is built, listed_size
+    checks every orbit of the design, so a refused expansion fails on the
+    first draw and writes nothing.  Each orbit comes from orbit_blocks as
+    (prefix, suffixes) blocks; the line endings of a suffix list are built
+    once per orbit, and a block is its prefix joined with them.  A chunk
+    closes after the block that reaches EXPAND_CHUNK_LINES, so it overshoots
+    by less than one block, at most C(10, 5) = 252 lines.
     """
     for k in design.support():
-        size = orbit_size(design.k_factors, k)
-        if size > MAX_EXPAND_ORBIT_POINTS:
-            raise OrbitDesignError(
-                f"orbit {k} of K = {design.k_factors} has {size} points; "
-                f"expand writes at most {MAX_EXPAND_ORBIT_POINTS} points per orbit"
-            )
+        listed_size(design.k_factors, k)
     parts = ["k,point,point_weight" + ("" if n is None else ",count") + "\n"]
     lines = 0
     for k, _, weight, _ in _orbit_rows(design):
@@ -475,6 +437,14 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except (SingularDesignError, UnsupportedRegionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_SINGULAR
+    except BrokenPipeError:
+        # The reader of stdout stopped early, which is not an error: stop
+        # quietly, and point stdout at devnull so the flush at exit cannot
+        # fail again.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_BROKEN_PIPE
     except (OrbitDesignError, OSError) as exc:  # OSError: an output cannot be written
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -210,13 +210,12 @@ def wide_design(k_factors: int, lower: int, ell: Optional[int] = None) -> WideDe
     # c = K or K - 1, weight w_x = c / (2 s_x) on the pair x, K - x and the
     # rest on the centre zero the second moment; mixing the L and ell
     # components in proportion alpha = (disc - t_ell^2) / (t_L^2 - t_ell^2)
-    # zeroes the fourth.  Over q = 2 s_L s_ell (t_L^2 - t_ell^2) the weights
-    # alpha w_L and (1 - alpha) w_ell are integers.
+    # zeroes the fourth; t_ell^2 <= disc (ell admissible) and t_L^2 >= disc
+    # (L not narrow) put alpha in [0, 1].  Over q = 2 s_L s_ell (t_L^2 - t_ell^2)
+    # the weights alpha w_L and (1 - alpha) w_ell are integers.
     odd = K % 2
     t_low2, t_ell2 = (K - 2 * lower) ** 2, (K - 2 * ell) ** 2
     numer, span = _threshold_discriminant(K) - t_ell2, t_low2 - t_ell2
-    if not 0 <= numer <= span:
-        raise OrbitDesignError(f"mixing weight alpha={Fraction(numer, span)} outside [0, 1]")
     s_low, s_ell = t_low2 - odd, t_ell2 - odd
     q = 2 * s_low * s_ell * span
     n_low = (K - odd) * numer * s_ell

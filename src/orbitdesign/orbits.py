@@ -8,10 +8,13 @@ Under the additional sign-flip symmetry, orbits k and K-k are identified
 (symmetric orbits), and symmetric designs carry equal weight on both.
 ``OrbitDesign`` holds its weights as integers over one denominator.
 
-Two listings of an orbit exist.  ``enumerate_orbit`` yields its points as
-tuples.  ``orbit_blocks`` yields the same points in the same order as
-'+'/'-' strings, grouped in blocks that share a prefix, which is what
-``expand`` writes.
+Scalar quantities of an orbit -- its size, moments and weights -- exist for
+any K.  Listing its points costs C(K, k), so one rule bounds every listing:
+``listed_size`` refuses an orbit of more than ``MAX_ORBIT_POINTS`` =
+C(64, 32) points, whatever K is.  Two listings exist.  ``enumerate_orbit``
+yields the points as tuples.  ``orbit_blocks`` yields the same points in
+the same order as '+'/'-' strings, grouped in blocks that share a prefix,
+which is what ``expand`` writes.
 """
 
 from __future__ import annotations
@@ -30,9 +33,9 @@ from .exceptions import OrbitDesignError
 #: Orbit weights are exact rationals where the construction permits, floats otherwise.
 Weight = Union[Fraction, float, int]
 
-# Scalar paths take any K.  Enumerating an orbit costs C(K, k) points, so
-# enumeration refuses larger K instead of running practically forever.
-MAX_BINOMIAL_K = 64
+# The largest orbit a listing holds: the central orbit of K = 64.  A larger
+# one would take practically forever to list.
+MAX_ORBIT_POINTS = math.comb(64, 32)
 
 WEIGHT_SUM_TOL = 1e-12
 
@@ -48,17 +51,46 @@ def orbit_size(k_factors: int, k: int) -> int:
     return math.comb(k_factors, k)
 
 
+def size_digits(size: int) -> str:
+    """All digits of an orbit size, past the int-to-str digit limit (K >= 14,292) too."""
+    try:
+        return str(size)
+    except ValueError:
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
+        try:
+            return str(size)
+        finally:
+            sys.set_int_max_str_digits(limit)
+
+
+def listed_size(k_factors: int, k: int) -> int:
+    """Size C(K, k) of an orbit to be listed; refuses more than MAX_ORBIT_POINTS."""
+    size = orbit_size(k_factors, k)
+    if size > MAX_ORBIT_POINTS:
+        raise OrbitDesignError(
+            f"orbit {k} of K = {k_factors} has {size_digits(size)} points; "
+            f"an orbit listing holds at most {MAX_ORBIT_POINTS} points"
+        )
+    return size
+
+
+def weight_per_point(weight: Weight, size: int) -> Weight:
+    """weight / size, the weight of each point of an orbit of that size."""
+    if isinstance(weight, float) and size > sys.float_info.max:
+        # float / int would convert the size to a float; divide exactly instead.
+        return float(Fraction(weight) / size)
+    return weight / size
+
+
 def enumerate_orbit(k_factors: int, k: int) -> Iterator[tuple[int, ...]]:
     """Yield the C(K, k) points with k active factors.
 
     Points are emitted in lexicographic order of their +1-position subsets,
     so the stream is deterministic and the first point has the k leading
-    coordinates active.  Refuses K > MAX_BINOMIAL_K.
+    coordinates active.  The orbit size is bounded by listed_size.
     """
-    if k_factors > MAX_BINOMIAL_K:
-        raise OrbitDesignError(f"factor count must be in 0..{MAX_BINOMIAL_K}, got {k_factors}")
-    if not 0 <= k <= k_factors:
-        raise OrbitDesignError(f"orbit index must be in 0..{k_factors}, got {k}")
+    listed_size(k_factors, k)
     for positions in combinations(range(k_factors), k):
         point = [-1] * k_factors
         for pos in positions:
@@ -84,11 +116,10 @@ def orbit_blocks(k_factors: int, k: int) -> Iterator[tuple[str, tuple[str, ...]]
     the last min(K, SUFFIX_LENGTH) coordinates.  The points come in the
     order of enumerate_orbit: for strings of equal '+' count, the order of
     the +1 positions is string order with '+' before '-'.  Prefixes are
-    walked '+' first with an explicit stack, so any K works; the caller
-    bounds the number of points.
+    walked '+' first with an explicit stack, so any K works; the orbit size
+    is bounded by listed_size.
     """
-    if not 0 <= k <= k_factors:
-        raise OrbitDesignError(f"orbit index must be in 0..{k_factors}, got {k}")
+    listed_size(k_factors, k)
     width = min(k_factors, SUFFIX_LENGTH)
     suffixes = _suffix_table(width)
     # (prefix, prefix coordinates still open, '+' entries still to place)
@@ -225,13 +256,6 @@ class OrbitDesign:
 
 def point_weight(design: OrbitDesign, k: int) -> Weight:
     """Weight of each individual point of orbit k: orbit weight / C(K, k)."""
-    if not 0 <= k <= design.k_factors:
-        raise OrbitDesignError(f"orbit index must be in 0..{design.k_factors}, got {k}")
-    w = design.weight(k)
-    if w == 0:
-        return 0
     size = orbit_size(design.k_factors, k)
-    if isinstance(w, float) and size > sys.float_info.max:
-        # float / int would convert C(K, k) to a float; divide exactly instead.
-        return float(Fraction(w) / size)
-    return w / size
+    w = design.weight(k)
+    return weight_per_point(w, size) if w else 0

@@ -50,12 +50,10 @@ from .info_matrix import (
     model_dims,
 )
 from .moments import MomentSet, design_moments, moment_polynomial
-from .orbits import OrbitDesign, enumerate_orbit, orbit_size
+from .orbits import OrbitDesign, enumerate_orbit, listed_size, orbit_size
 
 if TYPE_CHECKING:
     import numpy as np
-
-BRUTE_FORCE_MAX_K = 12
 
 
 class SensitivityPoly(NamedTuple):
@@ -182,7 +180,7 @@ def _orbit_gram(k_factors: int, k: int) -> np.ndarray:
 
     pairs = interaction_pairs(k_factors)
     p = model_dims(k_factors).p
-    features = np.empty((orbit_size(k_factors, k), p), dtype=np.int64)
+    features = np.empty((listed_size(k_factors, k), p), dtype=np.int64)
     for row, x in enumerate(enumerate_orbit(k_factors, k)):
         features[row, 0] = 1
         features[row, 1 : k_factors + 1] = x
@@ -193,26 +191,16 @@ def _orbit_gram(k_factors: int, k: int) -> np.ndarray:
     return gram
 
 
-def brute_force_info(
-    design: OrbitDesign,
-    *,
-    exact: bool = False,
-    force: bool = False,
-) -> InfoMatrix:
+def brute_force_info(design: OrbitDesign, *, exact: bool = False) -> InfoMatrix:
     """Information matrix by direct enumeration: sum of w_k / C(K,k) * f f^T.
 
     The per-orbit Gram matrices are exact integers, so with rational weights
-    and exact=True the result is exact.  Guarded to K <= 12 (override with
-    force=True).  Needs numpy: it is a test oracle, on no command's path.
+    and exact=True the result is exact.  An orbit past listed_size's cap is
+    refused.  Needs numpy: it is a test oracle, on no command's path.
     """
     import numpy as np
 
     K = design.k_factors
-    if K > BRUTE_FORCE_MAX_K and not force:
-        raise OrbitDesignError(
-            f"brute-force enumeration for K={K} > {BRUTE_FORCE_MAX_K} is expensive; "
-            "pass force=True to run it anyway"
-        )
     dims = model_dims(K)
     weights = design.weights()
     if exact:

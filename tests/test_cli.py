@@ -24,7 +24,8 @@ from orbitdesign import (
     optimal_design,
     orbit_size,
 )
-from orbitdesign.cli import EXPAND_CHUNK_LINES, MAX_EXPAND_ORBIT_POINTS, main
+from orbitdesign.cli import EXIT_BROKEN_PIPE, EXPAND_CHUNK_LINES, main
+from orbitdesign.orbits import MAX_ORBIT_POINTS
 
 from conftest import feature_vector
 from reference_tables import NARROW_ROWS, WIDE_ROWS
@@ -488,8 +489,18 @@ class TestExpand:
         )
         assert code == 2
         assert out == ""
-        assert f"expand writes at most {MAX_EXPAND_ORBIT_POINTS} points per orbit" in err
+        assert f"an orbit listing holds at most {MAX_ORBIT_POINTS} points" in err
         assert not csv.exists()
+
+    def test_refusal_past_the_digit_limit(self, capsys):
+        # The refused central orbit of K = 15,000 has more digits than str()
+        # converts by default; the refusal is still a usage error.
+        limit = sys.get_int_max_str_digits()
+        code, out, err = run_cli(capsys, "expand", "--k", "15000", "--lower", "0")
+        assert code == 2
+        assert out == ""
+        assert f"an orbit listing holds at most {MAX_ORBIT_POINTS} points" in err
+        assert sys.get_int_max_str_digits() == limit
 
     def test_large_k_small_orbits_expand(self, capsys, tmp_path):
         # Only the size of the orbits bounds expand, not K.
@@ -666,6 +677,25 @@ class TestEntryPoints:
             for x in enumerate_orbit(18, k):
                 lines.append(f"{k}," + "".join("+" if v == 1 else "-" for v in x) + tail)
         assert proc.stdout == ("\n".join(lines) + "\n").encode()
+
+    @pytest.mark.parametrize("csv", [False, True], ids=["stdout", "csv"])
+    def test_closed_pipe_exits_quietly(self, tmp_path, csv):
+        # A reader that stops early, as `| head -c 10` does, is no error:
+        # expand exits as a tool killed by SIGPIPE would, with nothing on stderr.
+        argv = ["expand", "--k", "18", "--lower", "3"]
+        if csv:
+            argv += ["--csv", str(tmp_path / "points.csv")]
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "orbitdesign", *argv],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            env=child_env(),
+        )
+        assert proc.stdout.read(10) == b"k,point,po"
+        proc.stdout.close()
+        assert proc.wait(timeout=60) == EXIT_BROKEN_PIPE == 141
+        assert proc.stderr.read() == b""
+        proc.stderr.close()
 
     def test_module_invocation(self):
         proc = run_module("tables", "--which", "narrow", "--k", "6")

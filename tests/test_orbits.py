@@ -18,7 +18,7 @@ from orbitdesign import (
     orbit_size,
     point_weight,
 )
-from orbitdesign.orbits import orbit_blocks
+from orbitdesign.orbits import MAX_ORBIT_POINTS, orbit_blocks
 
 
 def pascal_binomial(n, k):
@@ -59,10 +59,14 @@ class TestOrbitSize:
             orbit_size(6, 7)
         with pytest.raises(OrbitDesignError):
             orbit_size(6, -1)
-        # Only enumeration is capped in K; sizes are exact for any K.
-        with pytest.raises(OrbitDesignError, match="factor count"):
-            list(enumerate_orbit(65, 1))
+        # Sizes are exact for any K; a listing is capped by its orbit size,
+        # not by K.  Near the cap only the first item is drawn.
         assert orbit_size(76, 38) == math.comb(76, 38)
+        assert len(list(enumerate_orbit(65, 1))) == 65
+        for listing in (enumerate_orbit, orbit_blocks):
+            assert next(listing(64, 32))
+            with pytest.raises(OrbitDesignError, match=f"at most {MAX_ORBIT_POINTS} points"):
+                next(listing(66, 33))
 
 
 class TestEnumerateOrbit:

@@ -198,11 +198,12 @@ class TestBruteForce:
         assert (enumerated.dense == structured.dense).all()
 
     def test_cost_guard(self):
+        # The orbit-point cap is the only guard: K = 13 runs, and an orbit
+        # past the cap is refused before any memory is taken for it.
         d = OrbitDesign(13, {6: Fraction(1, 2)}, symmetric=True)
-        with pytest.raises(OrbitDesignError):
-            brute_force_info(d)
-        info = brute_force_info(d, force=True)
-        assert info.dims.p == 92
+        assert brute_force_info(d).dims.p == 92
+        with pytest.raises(OrbitDesignError, match="orbit listing holds at most"):
+            brute_force_info(OrbitDesign(66, {33: 1}))
 
     def test_exact_mode_needs_rational_weights(self):
         d = OrbitDesign(6, {2: 0.3865, 3: 0.2270}, symmetric=True)
