@@ -222,7 +222,10 @@ def _singular(block: Block) -> SingularDesignError:
 def log_det_symmetric(k_factors: int, m: MomentSet) -> float:
     """log det of the information matrix; -inf (not an exception) when singular.
 
-    Holds for any invariant moments, symmetric or not.
+    Holds for any invariant moments, symmetric or not.  Each block term is
+    mult * log(det / D^n), D^n the determinant of D times the identity.
+    Near 1 the rounded ratio would lose digits to log, so there the term is
+    log1p of the exactly rounded (det - D^n) / D^n.
     """
     scale, blocks = _scaled_blocks(k_factors, m)
     total = 0.0
@@ -230,9 +233,12 @@ def log_det_symmetric(k_factors: int, m: MomentSet) -> float:
         det, n = _adjugate(block.matrix)[1], len(block.matrix)
         if det <= 0:
             return -math.inf
-        ratio = det / scale**n
+        unit = scale**n
+        excess = (det - unit) / unit
+        if -0.5 <= excess <= 0.5:
+            total += block.mult * math.log1p(excess)
         # A ratio below the normal floats has lost digits or underflowed to 0.
-        if ratio < sys.float_info.min:
+        elif (ratio := det / unit) < sys.float_info.min:
             total += block.mult * (math.log(det) - n * math.log(scale))
         else:
             total += block.mult * math.log(ratio)

@@ -27,6 +27,12 @@ moment polynomials into five integer vectors per K (quartic_directions), so
 each numerator is one dot product with the flattened blocks of M^-1.
 kw_check scans those integers and rounds once per reported value.
 
+The wide designs have M = I exactly.  M is the unit diagonal plus entries
+that are combinations of m_1..m_4, so M = I exactly when all four moments
+are zero, and then psi(x) = f(x)^T f(x) = p at every point.  kw_check
+selects that case from the exact moments and writes the flat report down;
+a design with any nonzero moment gets the full integer certificate.
+
 A direct summation oracle over enumerated orbits backs all structured
 formulas; it accumulates exact integer Gram matrices per orbit and combines
 them with the orbit weights, so it is exact whenever the weights are.  It
@@ -146,6 +152,12 @@ def kw_check(
     region.  The design must be supported inside the region (otherwise
     OrbitDesignError) and regular; singular designs raise
     SingularDesignError with the failing block named.
+
+    A design whose four moments are exactly zero has M = I, so psi(x) =
+    f(x)^T f(x) = p on every orbit: its report (violation 0 at orbit lower,
+    psi = p everywhere) is written down without the block inverse or the
+    scan, and equals the one the general path gives.  Every other design,
+    however small its moments, takes the general path.
     """
     K = design.k_factors
     if not 0 <= lower <= upper <= K:
@@ -156,8 +168,11 @@ def kw_check(
             f"design puts weight on orbits {outside} outside the region [{lower}, {upper}]"
         )
     m = design_moments(design)
-    poly = sensitivity_poly(K, m)
     p = model_dims(K).p
+    if not any(m):
+        # M = I: psi(x) = f(x)^T f(x) = p on every orbit.
+        return KwReport(0.0, lower, dict.fromkeys(range(lower, upper + 1), float(p)), p, tol, m)
+    poly = sensitivity_poly(K, m)
 
     # The moments are exact, so the quartic is integers over one denominator:
     # the scan runs in integers and rounds once per reported value.

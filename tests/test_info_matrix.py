@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import decimal
 import math
 from fractions import Fraction
 from itertools import combinations
@@ -22,6 +23,7 @@ from orbitdesign import (
     inverse_coefficients,
     log_det_symmetric,
     model_dims,
+    optimal_design,
     orbit_moment,
     regularity,
 )
@@ -65,6 +67,20 @@ def exact_det(matrix):
         (-1) ** j * matrix[0][j] * exact_det([row[:j] + row[j + 1 :] for row in matrix[1:]])
         for j in range(len(matrix))
     )
+
+
+def decimal_log_det(k_factors, m):
+    """log det M to 60 digits: the exact block determinants (exact_det of
+    the Fraction blocks) through decimal logarithms."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = 60
+        total = decimal.Decimal(0)
+        for block in blocks_of(k_factors, m):
+            det = Fraction(exact_det(block.matrix))
+            total += block.mult * (
+                decimal.Decimal(det.numerator).ln() - decimal.Decimal(det.denominator).ln()
+            )
+        return total
 
 
 def inverse_blocks(k_factors, m):
@@ -237,6 +253,18 @@ class TestLogDet:
         assert float(dets[0][1]) == 0.0
         expected = sum(mult * (math.log(x.numerator) - math.log(x.denominator)) for mult, x in dets)
         assert ld == pytest.approx(expected, rel=1e-12)
+
+    def test_optima_against_decimal_oracle(self):
+        # Near det / D^n = 1 a rounded block ratio loses digits to log, and
+        # the lambda_I block repeats up to K(K-3)/2 times: every optimum
+        # with K <= 100 keeps 13 digits, and a wide one (M = I) gives 0.
+        regions = [(K, L) for K in range(4, 101) for L in range(K // 2)]
+        assert len(regions) == 2498
+        bound = decimal.Decimal("1e-13")
+        for K, L in regions:
+            result = optimal_design(K, L)
+            exact = decimal_log_det(K, result.moments)
+            assert abs(decimal.Decimal(result.log_det) - exact) <= bound * abs(exact), (K, L)
 
     def test_asymmetric_moments_against_dense_determinant(self):
         for k_factors in range(2, 11):

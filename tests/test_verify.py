@@ -8,7 +8,9 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import orbitdesign.verify
 from orbitdesign import (
+    KwReport,
     MomentSet,
     OrbitDesign,
     OrbitDesignError,
@@ -23,6 +25,7 @@ from orbitdesign import (
     log_det_symmetric,
     model_dims,
     narrow_design,
+    regime,
     sensitivity_poly,
     wide_design,
 )
@@ -45,10 +48,10 @@ def dense_sensitivity(k_factors, m, k):
 
 class TestSensitivityPoly:
     def test_identity_design_is_flat_at_p(self):
-        for k_factors in range(2, 9):
+        for k_factors in range(2, 101):
             poly = sensitivity_poly(k_factors, MomentSet(0, 0, 0, 0))
-            assert poly.a4 == 0 and poly.a2 == 0
-            assert poly.a0 == model_dims(k_factors).p
+            p = model_dims(k_factors).p
+            assert poly.numerators == (p * poly.denominator, 0, 0, 0, 0)
 
     def test_k6_narrow_optimum(self):
         spec = narrow_design(6, 2)
@@ -156,6 +159,83 @@ class TestKwCheck:
         report_loose = kw_check(slightly_off, 2, 4, tol=1e-2)
         report_tight = kw_check(slightly_off, 2, 4, tol=1e-12)
         assert report_loose.passed and not report_tight.passed
+
+
+def general_scan(design, lower, upper, tol=1e-9):
+    """The report of kw_check's general path: the integer scan of
+    sensitivity_poly over orbits lower..upper, rounded once per value."""
+    K = design.k_factors
+    m = design_moments(design)
+    poly = sensitivity_poly(K, m)
+    p = model_dims(K).p
+    scale = poly.denominator
+    c0, c1, c2, c3, c4 = poly.numerators
+    values = {}
+    for k in range(lower, upper + 1):
+        t = 2 * k - K
+        values[k] = (((c4 * t + c3) * t + c2) * t + c1) * t + c0
+    argmax = max(values, key=values.get)
+    per_orbit = {k: value / scale for k, value in values.items()}
+    return KwReport((values[argmax] - p * scale) / scale, argmax, per_orbit, p, tol, m)
+
+
+def assert_same_report(report, expected):
+    assert report == expected
+    assert report.max_violation.hex() == expected.max_violation.hex()
+    assert [(k, v.hex()) for k, v in report.per_orbit.items()] == [
+        (k, v.hex()) for k, v in expected.per_orbit.items()
+    ]
+
+
+@pytest.fixture
+def certificate_calls(monkeypatch):
+    """Counts the calls of sensitivity_poly and inverse_coefficients that
+    kw_check makes."""
+    calls = dict.fromkeys(("sensitivity_poly", "inverse_coefficients"), 0)
+    for name in calls:
+        original = getattr(orbitdesign.verify, name)
+
+        def counted(*args, name=name, original=original):
+            calls[name] += 1
+            return original(*args)
+
+        monkeypatch.setattr(orbitdesign.verify, name, counted)
+    return calls
+
+
+class TestIdentityCase:
+    def test_wide_reports_equal_the_general_scan(self):
+        regions = [
+            (K, L) for K in range(4, 101) for L in range(K // 2)
+            if regime(K, L) in ("wide", "threshold")
+        ]
+        assert len(regions) == 1998
+        for K, L in regions:
+            design = wide_design(K, L).design
+            for lower, upper in ((L, K - L), (0, K)):
+                assert_same_report(kw_check(design, lower, upper), general_scan(design, lower, upper))
+
+    def test_zero_moments_skip_the_inverse(self, certificate_calls):
+        report = kw_check(wide_design(20, 3).design, 3, 17)
+        assert certificate_calls == {"sensitivity_poly": 0, "inverse_coefficients": 0}
+        assert report.passed and set(report.per_orbit.values()) == {211.0}
+
+    def test_narrow_design_takes_the_general_path(self, certificate_calls):
+        design = narrow_design(20, 8).design
+        certificate_calls.update(dict.fromkeys(certificate_calls, 0))
+        report = kw_check(design, 8, 12)
+        assert certificate_calls == {"sensitivity_poly": 1, "inverse_coefficients": 1}
+        assert_same_report(report, general_scan(design, 8, 12))
+
+    def test_tiny_moments_take_the_general_path(self, certificate_calls):
+        weights = wide_design(20, 3).design.weights()
+        weights[3] = weights[17] = Fraction(math.nextafter(float(weights[3]), 1))
+        design = OrbitDesign(20, weights)
+        m = design_moments(design)
+        assert any(m) and max(map(abs, m)) < 1e-15
+        report = kw_check(design, 3, 17)
+        assert certificate_calls == {"sensitivity_poly": 1, "inverse_coefficients": 1}
+        assert_same_report(report, general_scan(design, 3, 17))
 
 
 def d_efficiency(design):
