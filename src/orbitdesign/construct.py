@@ -145,7 +145,7 @@ def lemma2_design(k_factors: int) -> OrbitDesign:
 
 def _check_identity_moments(design: OrbitDesign) -> None:
     m = design_moments(design)
-    if not (m.m1 == 0 and m.m2 == 0 and m.m3 == 0 and m.m4 == 0):
+    if not m.all_zero():
         raise OrbitDesignError(f"construction failed to zero the moments: {m}")
 
 
@@ -261,15 +261,15 @@ def minimize_scalar(
     return x, evaluations
 
 
-def log_det_slope(polynomials: list[tuple[int, tuple[int, ...]]], x: Fraction) -> int:
-    """A positive multiple of d(log det)/dw at the rational w = x, in integers.
+def log_det_slope(polynomials: list[tuple[int, tuple[int, ...]]], n: int, d: int) -> int:
+    """A positive multiple of d(log det)/dw at the rational w = n/d, in integers.
 
-    For x = n/d and the polynomials p_b of determinant_polynomials, homogeneous
-    Horner gives P_b = d^deg p_b(x) and P'_b = d^(deg-1) p_b'(x); the slope
-    sum_b mult_b p_b'/p_b has the sign of the returned
-    sum_b mult_b P'_b prod_{c != b} P_c.  Raises SingularDesignError if some P_b <= 0.
+    For d > 0 (n/d need not be reduced) and the polynomials p_b of
+    determinant_polynomials, homogeneous Horner gives P_b = d^deg p_b(n/d) and
+    P'_b = d^(deg-1) p_b'(n/d); the slope sum_b mult_b p_b'/p_b has the sign of
+    the returned sum_b mult_b P'_b prod_{c != b} P_c.  Raises
+    SingularDesignError if some P_b <= 0.
     """
-    n, d = x.numerator, x.denominator
     total, product = 0, 1
     for mult, coeffs in polynomials:
         p, dp, power = 0, 0, 1
@@ -278,7 +278,7 @@ def log_det_slope(polynomials: list[tuple[int, tuple[int, ...]]], x: Fraction) -
             p = p * n + c * power
             power *= d
         if p <= 0:
-            raise SingularDesignError(f"information matrix is singular at w = {x}")
+            raise SingularDesignError(f"information matrix is singular at w = {Fraction(n, d)}")
         total = total * p + mult * dp * product
         product *= p
     return total
@@ -343,7 +343,8 @@ def narrow_design(k_factors: int, lower: int) -> NarrowDesignSpec:
     m2_0, m4_0 = orbit_moment(K, center, 2), orbit_moment(K, center, 4)
     m2_slope = 2 * (orbit_moment(K, lower, 2) - m2_0)
     m4_slope = 2 * (orbit_moment(K, lower, 4) - m4_0)
-    exact = determinant_polynomials(K, MomentSet(0, m2_0, 0, m4_0), (0, m2_slope, 0, m4_slope))
+    centre = MomentSet._make((0, m2_0, 0, m4_0))
+    exact = determinant_polynomials(K, centre, (0, m2_slope, 0, m4_slope))
     polynomials = [(mult, [float(c) for c in reversed(coeffs)]) for mult, coeffs in exact]
 
     def derivatives(w: float) -> tuple[float, float]:
@@ -367,14 +368,17 @@ def narrow_design(k_factors: int, lower: int) -> NarrowDesignSpec:
 
     w, evaluations = minimize_scalar(negated_derivatives, 0.0, 0.5)
     # w* is the double nearest the root of d(log det)/dw: move one ulp while
-    # the exact sign at the half-ulp midpoint says the root lies beyond it,
-    # upwards first and downwards only if w did not move up.
+    # the exact sign at the half-ulp midpoint (a/b + c/e) / 2 = (a e + c b) / (2 b e)
+    # says the root lies beyond it, upwards first and downwards only if w
+    # did not move up.
     for toward, sign in ((math.inf, 1), (-math.inf, -1)):
         start = w
         while True:
             neighbour = math.nextafter(w, toward)
             evaluations += 1
-            if sign * log_det_slope(exact, (Fraction(w) + Fraction(neighbour)) / 2) <= 0:
+            a, b = w.as_integer_ratio()
+            c, e = neighbour.as_integer_ratio()
+            if sign * log_det_slope(exact, a * e + c * b, 2 * b * e) <= 0:
                 break
             w = neighbour
         if w != start:
@@ -436,7 +440,8 @@ def optimal_design(
     if kind != "narrow":
         design = wide_design(K, effective, ell).design
         report = kw_check(design, lower, upper, tol)
-        ld = log_det_symmetric(K, report.moments)
+        # Zero moments are M = I, whose log det is exactly 0.
+        ld = 0.0 if report.moments.all_zero() else log_det_symmetric(K, report.moments)
     elif not region.symmetric():
         raise UnsupportedRegionError(
             f"asymmetric bounds [{lower}, {upper}] put max(L, K-U) = {effective} above "

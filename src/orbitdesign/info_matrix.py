@@ -41,8 +41,9 @@ from __future__ import annotations
 import math
 import sys
 from fractions import Fraction
+from functools import cache
 from itertools import chain, combinations
-from operator import mul
+from operator import index, mul
 from typing import TYPE_CHECKING, NamedTuple, Union
 
 from .exceptions import OrbitDesignError, SingularDesignError
@@ -63,11 +64,14 @@ class ModelDims(NamedTuple):
     n_inter: int
 
 
+@cache
 def model_dims(k_factors: int) -> ModelDims:
+    """The counts for K factors, built once per K (as Python ints)."""
     if k_factors < 2:
         raise OrbitDesignError(f"the interaction model needs K >= 2, got {k_factors}")
-    n_inter = math.comb(k_factors, 2)
-    return ModelDims(k_factors, 1 + k_factors + n_inter, n_inter)
+    K = index(k_factors)
+    n_inter = math.comb(K, 2)
+    return ModelDims(K, 1 + K + n_inter, n_inter)
 
 
 def interaction_pairs(k_factors: int) -> list[tuple[int, int]]:

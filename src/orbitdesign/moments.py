@@ -17,7 +17,12 @@ sign patterns directly:
 
 Mixtures are linear in the orbit weights, so a design's moments follow from
 integer power sums of t over its integer weights (``design_moments``; see
-``OrbitDesign``).
+``OrbitDesign``).  One pass over those weights gives the power sums S_0..S_4;
+the polynomials P_j and denominators d_j are built once per (K, j) and kept
+(``moment_polynomial``), so each moment is one integer dot product.  A
+moment whose numerator is zero -- every moment of the wide designs, which
+have M = I -- is the shared ``ZERO``, with no gcd; any other moment is one
+normalised Fraction.
 """
 
 from __future__ import annotations
@@ -25,7 +30,8 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 from fractions import Fraction
-from operator import mul
+from functools import cache
+from operator import index, mul
 from typing import Union
 
 from .exceptions import OrbitDesignError
@@ -33,13 +39,16 @@ from .orbits import OrbitDesign
 
 Numeric = Union[Fraction, float, int]
 
+#: The one Fraction design_moments returns for every vanishing moment.
+ZERO = Fraction(0)
+
 
 class MomentSet(namedtuple("MomentSet", "m1 m2 m3 m4")):
     """The four invariant moments of a design; exact zeros for symmetric odd moments.
 
-    The constructor checks |m_j| <= 1.  design_moments and as_floats build
-    theirs with _make, which skips the check: their values are mixtures of
-    orbit moments, in [-1, 1] by construction.
+    The constructor checks |m_j| <= 1.  design_moments, as_floats and
+    narrow_design build theirs with _make, which skips the check: their
+    values are orbit moments or mixtures of them, in [-1, 1] by construction.
     """
 
     __slots__ = ()
@@ -55,6 +64,12 @@ class MomentSet(namedtuple("MomentSet", "m1 m2 m3 m4")):
     def as_floats(self) -> "MomentSet":
         return MomentSet._make(map(float, self))
 
+    def all_zero(self) -> bool:
+        """True when all four moments are zero, i.e. M = I.  count() tests
+        identity before equality, so the shared ZEROs of design_moments cost
+        no Fraction method."""
+        return self.count(ZERO) == 4
+
 
 def _check_args(k_factors: int, k: int, j: int) -> None:
     if not 0 <= k <= k_factors:
@@ -63,10 +78,12 @@ def _check_args(k_factors: int, k: int, j: int) -> None:
         raise OrbitDesignError(f"moment order must be in 1..4, got {j}")
 
 
+@cache
 def moment_polynomial(k_factors: int, j: int) -> tuple[tuple[int, ...], int]:
     """The closed form of m_j as a polynomial in t = 2k - K: integer
-    coefficients c_0..c_j and a denominator d, m_j = sum_i c_i t^i / d."""
-    K = k_factors
+    coefficients c_0..c_j and a denominator d, m_j = sum_i c_i t^i / d.
+    Built once per (K, j) and shared by every caller."""
+    K = index(k_factors)
     if j > K:
         return (0,) * (j + 1), 1
     if j == 1:
@@ -108,15 +125,29 @@ def design_moments(design: OrbitDesign) -> MomentSet:
     """Exact moments of an invariant design; the immutable design keeps them.
 
     With the design's integer weights n_k and the power sums S_i = sum_k
-    n_k t_k^i, m_j = sum_i c_i S_i / (d_j S_0) for P_j(t) = sum_i c_i t^i,
-    one Fraction each: exact for the design as stored, rescaled to total
-    weight 1.
+    n_k t_k^i, m_j = sum_i c_i S_i / (d_j S_0) for P_j(t) = sum_i c_i t^i:
+    exact for the design as stored, rescaled to total weight 1.  One pass
+    over the weights gives S_0..S_4; a zero numerator gives ZERO, any other
+    one Fraction.
     """
     if design._moments is None:
         K = design.k_factors
-        weights = [(2 * k - K, n) for k, n in design._numerators.items()]
-        sums = [sum(n * t**i for t, n in weights) for i in range(5)]
-        polys = (moment_polynomial(K, j) for j in range(1, 5))
-        moments = MomentSet._make(Fraction(sum(map(mul, c, sums)), d * sums[0]) for c, d in polys)
-        object.__setattr__(design, "_moments", moments)
+        s0 = s1 = s2 = s3 = s4 = 0
+        for k, n in design._numerators.items():
+            t = 2 * k - K
+            s0 += n
+            n *= t
+            s1 += n
+            n *= t
+            s2 += n
+            n *= t
+            s3 += n
+            s4 += n * t
+        sums = (s0, s1, s2, s3, s4)
+        moments = []
+        for j in (1, 2, 3, 4):
+            coeffs, d = moment_polynomial(K, j)
+            numerator = sum(map(mul, coeffs, sums))
+            moments.append(Fraction(numerator, d * s0) if numerator else ZERO)
+        object.__setattr__(design, "_moments", MomentSet._make(moments))
     return design._moments

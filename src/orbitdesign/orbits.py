@@ -38,6 +38,8 @@ Weight = Union[Fraction, float, int]
 MAX_ORBIT_POINTS = math.comb(64, 32)
 
 WEIGHT_SUM_TOL = 1e-12
+# The sum rule compares in integers against this exact binary rational.
+_TOL_NUMERATOR, _TOL_DENOMINATOR = WEIGHT_SUM_TOL.as_integer_ratio()
 
 # orbit_blocks splits a point into a prefix and its last SUFFIX_LENGTH
 # coordinates, so a block holds at most C(10, 5) = 252 points.
@@ -185,15 +187,14 @@ class OrbitDesign:
     ) -> None:
         if k_factors < 1:
             raise OrbitDesignError(f"factor count must be positive, got {k_factors}")
+        top = k_factors // 2 if symmetric else k_factors
         stored: dict[int, Weight] = {}
         ratios: dict[int, tuple[int, int]] = {}
         for k, w in weights.items():
-            if not 0 <= k <= k_factors:
-                raise OrbitDesignError(f"orbit index must be in 0..{k_factors}, got {k}")
-            if symmetric and k > k_factors // 2:
-                raise OrbitDesignError(
-                    f"symmetric designs store orbits k <= {k_factors // 2} only, got {k}"
-                )
+            if not 0 <= k <= top:
+                if not 0 <= k <= k_factors:
+                    raise OrbitDesignError(f"orbit index must be in 0..{k_factors}, got {k}")
+                raise OrbitDesignError(f"symmetric designs store orbits k <= {top} only, got {k}")
             try:
                 n, d = w.as_integer_ratio()
             except AttributeError:  # numpy integers
@@ -205,7 +206,7 @@ class OrbitDesign:
             if n:
                 for j in (k, k_factors - k) if symmetric else (k,):
                     stored[j], ratios[j] = w, (n, d)
-        scale = math.lcm(*(d for _, d in ratios.values()))
+        scale = math.lcm(*{d for _, d in ratios.values()})
         numerators = {k: n * (scale // d) for k, (n, d) in ratios.items()}
         object.__setattr__(self, "k_factors", k_factors)
         object.__setattr__(self, "symmetric", symmetric)
@@ -215,8 +216,7 @@ class OrbitDesign:
         # |total / scale - 1| > WEIGHT_SUM_TOL, cross-multiplied: exact, and
         # no quotient of huge integers has to fit a float.
         total = sum(numerators.values())
-        tol_n, tol_d = WEIGHT_SUM_TOL.as_integer_ratio()
-        if abs(total - scale) * tol_d > tol_n * scale:
+        if abs(total - scale) * _TOL_DENOMINATOR > _TOL_NUMERATOR * scale:
             raise OrbitDesignError(
                 f"orbit weights must sum to 1, got {sum(self.weights().values())}"
             )

@@ -162,14 +162,15 @@ def kw_check(
     K = design.k_factors
     if not 0 <= lower <= upper <= K:
         raise OrbitDesignError(f"invalid orbit range [{lower}, {upper}] for K={K}")
-    outside = [k for k in design.support() if not lower <= k <= upper]
-    if outside:
+    support = design._numerators
+    if min(support) < lower or max(support) > upper:
+        outside = sorted(k for k in support if not lower <= k <= upper)
         raise OrbitDesignError(
             f"design puts weight on orbits {outside} outside the region [{lower}, {upper}]"
         )
     m = design_moments(design)
     p = model_dims(K).p
-    if not any(m):
+    if m.all_zero():
         # M = I: psi(x) = f(x)^T f(x) = p on every orbit.
         return KwReport(0.0, lower, dict.fromkeys(range(lower, upper + 1), float(p)), p, tol, m)
     poly = sensitivity_poly(K, m)

@@ -110,6 +110,21 @@ def test_solve_layers_are_called(monkeypatch):
     spec = orbitdesign.wide_design(20, 3)
     assert orbitdesign.kw_check(spec.design, 3, 17).passed
     wide_calls = calls.copy()
+
+    # The calls of one wide solve: the design's moments are computed once,
+    # in wide_design, and kw_check reads them back; M = I needs no inverse,
+    # quartic, log det, orbit moment or search.
+    assert wide_calls["construct.wide_design"] == 1
+    assert wide_calls["verify.kw_check"] == 1
+    assert wide_calls["moments.design_moments"] == 2
+    for layer in (
+        "verify.sensitivity_poly",
+        "info_matrix.inverse_coefficients",
+        "info_matrix.log_det_symmetric",
+        "moments.orbit_moment",
+        "construct.minimize_scalar",
+    ):
+        assert wide_calls[layer] == 0, layer
     assert orbitdesign.narrow_design(20, 8).kw_report.passed
     assert set(SOLVE_LAYERS) <= set(layers.values())
     assert not [layer for layer in SOLVE_LAYERS if calls[layer] == 0]

@@ -7,6 +7,7 @@ from fractions import Fraction
 
 import pytest
 
+import orbitdesign.construct
 from orbitdesign import (
     EstimabilityError,
     MomentSet,
@@ -423,6 +424,29 @@ class TestRegionSweep:
         assert loose.kw_report.passed and not tight.kw_report.passed
         assert tight.kw_report.max_violation == loose.kw_report.max_violation
         assert tight.kw_report.tol == 1e-20
+
+    @pytest.mark.parametrize(
+        "k_factors, lower, calls",
+        # Wide, threshold (B_22 = 7) and narrow regions.
+        [(20, 3, 0), (22, 7, 0), (20, 8, 1)],
+    )
+    def test_log_det_is_computed_only_when_nonzero(self, monkeypatch, k_factors, lower, calls):
+        counted = []
+        original = orbitdesign.construct.log_det_symmetric
+
+        def counting(*args):
+            counted.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(orbitdesign.construct, "log_det_symmetric", counting)
+        result = optimal_design(k_factors, lower)
+        assert len(counted) == calls
+        assert result.regime == regime(k_factors, lower)
+        if calls == 0:
+            assert (result.log_det, result.d_efficiency) == (0.0, 1.0)
+            assert type(result.log_det) is float
+        else:
+            assert result.log_det == original(k_factors, result.moments) < 0
 
     def test_ell_in_narrow_regime_rejected(self):
         with pytest.raises(OrbitDesignError, match="wide regime"):

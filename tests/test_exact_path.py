@@ -211,17 +211,21 @@ def narrow_polynomials(monkeypatch, k_factors, lower):
 
 
 def test_integer_slope_sign_equals_fraction_slope(monkeypatch):
-    rng = random.Random(1401)
+    rng, scales = random.Random(1401), random.Random(1402)
     for k_factors, lower in narrow_regions(40):
         polynomials = narrow_polynomials(monkeypatch, k_factors, lower)
         for _ in range(5):
             bits = rng.randrange(2, 60)
             w = Fraction(rng.randrange(1, 2**bits), 2 ** (bits + 1))
-            slope = log_det_slope(polynomials, w)
+            slope = log_det_slope(polynomials, w.numerator, w.denominator)
             expected = fraction_slope(k_factors, lower, w)
             assert (slope > 0) == (expected > 0) and (slope < 0) == (expected < 0), (
                 k_factors, lower, w,
             )
+            # The walk passes unreduced midpoints; only the sign may be read.
+            scale = scales.randrange(2, 2**20)
+            unreduced = log_det_slope(polynomials, scale * w.numerator, scale * w.denominator)
+            assert (unreduced > 0) == (slope > 0) and (unreduced < 0) == (slope < 0)
 
 
 def test_integer_slope_rejects_singular_weights(monkeypatch):
@@ -229,7 +233,7 @@ def test_integer_slope_rejects_singular_weights(monkeypatch):
     polynomials = narrow_polynomials(monkeypatch, 20, 8)
     for w in (Fraction(0), Fraction(1, 2)):
         with pytest.raises(SingularDesignError):
-            log_det_slope(polynomials, w)
+            log_det_slope(polynomials, w.numerator, w.denominator)
 
 
 def test_w_star_is_the_nearest_double():

@@ -117,6 +117,12 @@ class TestModelDims:
         with pytest.raises(OrbitDesignError):
             model_dims(1)
 
+    def test_kept_per_k_as_python_ints(self):
+        # The counts are kept per K and shared, so a numpy K reads ints too.
+        dims = model_dims(np.int64(57))
+        assert dims == model_dims(57) and all(type(x) is int for x in dims)
+        assert model_dims(57) is model_dims(57)
+
 
 class TestSMatrix:
     def test_k6_display(self):

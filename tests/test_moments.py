@@ -6,6 +6,7 @@ import random
 from fractions import Fraction
 from math import prod
 
+import numpy as np
 import pytest
 
 from orbitdesign import (
@@ -14,10 +15,14 @@ from orbitdesign import (
     OrbitDesignError,
     design_moments,
     enumerate_orbit,
+    narrow_design,
     orbit_moment,
     orbit_moment_sum,
     orbit_size,
+    regime,
+    wide_design,
 )
+from orbitdesign.moments import ZERO, moment_polynomial
 
 
 def enumeration_moment(k_factors, k, j):
@@ -169,19 +174,52 @@ def random_designs():
     return designs
 
 
+def closed_form(k_factors, j):
+    """P_j and d_j of the module docstring, written out afresh."""
+    K = k_factors
+    if j > K:
+        return (0,) * (j + 1), 1
+    return {
+        1: ((0, 1), K),
+        2: ((-K, 0, 1), K * (K - 1)),
+        3: ((0, 2 - 3 * K, 0, 1), K * (K - 1) * (K - 2)),
+        4: ((3 * K * (K - 2), 0, 8 - 6 * K, 0, 1), K * (K - 1) * (K - 2) * (K - 3)),
+    }[j]
+
+
+def orbit_moment_mixture(design):
+    """The moments as the Fraction mixture of orbit_moment over the weights."""
+    K = design.k_factors
+    weights = {k: Fraction(w) for k, w in design.weights().items()}
+    total = sum(weights.values())
+    return [
+        sum(w * orbit_moment(K, k, j) for k, w in weights.items()) / total
+        for j in range(1, 5)
+    ]
+
+
+def assert_exact_moments(design):
+    # The design as given (its moments may be kept from its construction)
+    # and a fresh general copy, whose moments are computed here.
+    expected = orbit_moment_mixture(design)
+    for d in (design, OrbitDesign(design.k_factors, design.weights())):
+        for got, want in zip(design_moments(d), expected):
+            assert type(got) is Fraction and got == want, (d, got, want)
+            if want == 0:
+                assert got is ZERO, d
+
+
 class TestSharedIntegerRead:
     def test_design_moments_equal_fraction_mixture(self):
         designs = random_designs()
         assert len(designs) == 293
+        designs += [
+            OrbitDesign(4, {2: np.int64(1), 0: np.int64(0)}),
+            OrbitDesign(7, {0: np.int64(1), 3: 0}),
+            OrbitDesign(6, {1: np.int32(0), 3: np.int64(1)}, symmetric=True),
+        ]
         for d in designs:
-            K = d.k_factors
-            weights = {k: Fraction(w) for k, w in d.weights().items()}
-            total = sum(weights.values())
-            expected = MomentSet(*(
-                sum(w * orbit_moment(K, k, j) for k, w in weights.items()) / total
-                for j in range(1, 5)
-            ))
-            assert design_moments(d) == expected, d
+            assert_exact_moments(d)
 
     def test_integers_are_proportional_to_the_weights(self):
         for d in random_designs():
@@ -190,6 +228,44 @@ class TestSharedIntegerRead:
             assert numerators.keys() == weights.keys()
             assert all(type(n) is int for n in numerators.values())
             assert len({numerators[k] / w for k, w in weights.items()}) == 1, d
+
+
+class TestOnePassMoments:
+    def test_symmetric_optima_equal_the_fraction_mixture(self):
+        regions = [(K, L) for K in range(4, 101) for L in range(K // 2)]
+        assert len(regions) == 2498
+        for K, L in regions:
+            construct = narrow_design if regime(K, L) == "narrow" else wide_design
+            assert_exact_moments(construct(K, L).design)
+
+    def test_vanishing_moments_are_the_shared_zero(self):
+        m = design_moments(wide_design(30, 4).design)
+        assert m == MomentSet(0, 0, 0, 0) and m.all_zero()
+        assert all(x is ZERO and x == 0 for x in m)
+        assert repr(ZERO) == "Fraction(0, 1)"
+        # Odd moments of a symmetric design vanish; its even ones do not.
+        m = design_moments(OrbitDesign(7, {2: 0.3, 3: 0.2}, symmetric=True))
+        assert m.m1 is ZERO and m.m3 is ZERO and 0 not in (m.m2, m.m4)
+        assert not m.all_zero()
+
+    def test_all_zero_compares_by_value(self):
+        assert MomentSet(0, 0.0, Fraction(0), 0).all_zero()
+        assert not MomentSet(0, 0, 0, 1e-300).all_zero()
+        assert not MomentSet(0, 0, Fraction(1, 10**30), 0).all_zero()
+
+    def test_cached_polynomials_equal_the_closed_form(self):
+        for K in range(1, 121):
+            for j in range(1, 5):
+                coeffs, denom = moment_polynomial(K, j)
+                assert (coeffs, denom) == closed_form(K, j) == moment_polynomial.__wrapped__(K, j)
+                assert type(coeffs) is tuple and type(denom) is int
+                assert all(type(c) is int for c in coeffs)
+                assert moment_polynomial(K, j) is moment_polynomial(K, j)
+
+    def test_numpy_factor_count_reads_the_int_table(self):
+        coeffs, denom = moment_polynomial(np.int64(37), 4)
+        assert type(denom) is int and all(type(c) is int for c in coeffs)
+        assert (coeffs, denom) == closed_form(37, 4)
 
 
 class TestMomentSet:

@@ -152,6 +152,12 @@ class TestKwCheck:
         with pytest.raises(OrbitDesignError, match=r"orbits \[1, 5\] outside"):
             kw_check(design, 2, 4)
 
+    def test_outside_orbits_are_named_in_order(self):
+        # Orbits 6 and 0 lie outside [1, 5]; the weights list 6 first.
+        design = OrbitDesign(8, {6: Fraction(1, 4), 3: Fraction(1, 2), 0: Fraction(1, 4)})
+        with pytest.raises(OrbitDesignError, match=r"orbits \[0, 6\] outside the region \[1, 5\]"):
+            kw_check(design, 1, 5)
+
     def test_tolerance_is_a_parameter(self):
         spec = narrow_design(6, 2)
         w = spec.w_star + 1e-4
