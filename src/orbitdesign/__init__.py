@@ -23,7 +23,7 @@ from .orbits import (
     orbit_size,
     point_weight,
 )
-from .moments import MomentSet, design_moments, orbit_moment, orbit_moment_sum
+from .moments import MomentSet, design_moments, orbit_moment
 from .info_matrix import (
     InfoMatrix,
     ModelDims,
@@ -92,7 +92,6 @@ __all__ = [
     "narrow_design",
     "optimal_design",
     "orbit_moment",
-    "orbit_moment_sum",
     "orbit_size",
     "point_weight",
     "regime",

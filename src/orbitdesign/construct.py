@@ -11,9 +11,11 @@ threshold
     B_K = (K - sqrt(3K)) / 2       (K odd).
 
 For L <= B_K ("wide" bounds) designs exist whose information matrix equals
-the identity, i.e. they are as good as the full 2^K factorial.  They mix at
-most three symmetric orbits: the outermost pair, the central orbit(s), and
-one intermediate pair.  For B_K < L < K/2 ("narrow" bounds) the identity is
+the identity, i.e. they are as good as the full 2^K factorial: mixtures,
+alpha : 1 - alpha, of the one-pair designs (weight on a pair x, K - x, the
+rest on the centre) of the outer pair L and an intermediate pair ell.  The
+threshold design is alpha = 1, the pair L = B_K alone: Lemma 2's design,
+the full factorial for K <= 3.  For B_K < L < K/2 ("narrow") the identity is
 unattainable and the optimal design puts an optimized weight w* on each
 outermost orbit with the remainder on the central orbit(s); w* maximizes
 the log determinant over (0, 1/2).  That objective is strictly concave and
@@ -93,13 +95,9 @@ def regime(k_factors: int, lower: int) -> str:
     return "threshold" if t * t == disc else "wide"
 
 
-def admissible_ells(k_factors: int) -> list[int]:
-    """Intermediate orbits of the wide designs: B_K <= ell <= (K - sqrt(K))/2."""
-    return list(_ell_range(k_factors))
-
-
-def _ell_range(k_factors: int) -> range:
-    """The ell with K <= t^2 <= disc for t = K - 2 ell, i.e. ceil(sqrt K) <= t <= isqrt(disc)."""
+def admissible_ells(k_factors: int) -> range:
+    """Intermediate orbits of the wide designs: B_K <= ell <= (K - sqrt(K))/2,
+    i.e. K <= t^2 <= disc for t = K - 2 ell, or ceil(sqrt K) <= t <= isqrt(disc)."""
     K = k_factors
     if K < 1:
         return range(0)
@@ -121,10 +119,11 @@ def full_factorial(k_factors: int) -> OrbitDesign:
 def lemma2_design(k_factors: int) -> OrbitDesign:
     """Identity-information design available exactly when B_K is an integer.
 
-    Puts weight K/(2(3K-2)) on each orbit of the outermost symmetric pair
-    (L = B_K) and the rest on the central orbit for even K; for odd K the
-    outer weight is (K-1)/(2(3K-1)) and each of the two central orbits gets
-    1/2 minus that.  Both second and fourth moments vanish exactly.
+    The one-pair design of wide_design at L = B_K: weight K/(2(3K-2)) on
+    each orbit of the outermost symmetric pair and the rest on the central
+    orbit for even K; for odd K the outer weight is (K-1)/(2(3K-1)) and
+    each of the two central orbits gets 1/2 minus that.  Both second and
+    fourth moments vanish exactly.  For K <= 3 it is the full factorial.
     """
     K = k_factors
     if not is_integer_threshold(K):
@@ -132,15 +131,7 @@ def lemma2_design(k_factors: int) -> OrbitDesign:
             f"threshold_b({K}) = {threshold_b(K):.4f} is not an integer; "
             "no two/three-orbit identity design exists at the threshold"
         )
-    lower = (K - math.isqrt(_threshold_discriminant(K))) // 2
-    if K % 2 == 0:
-        w_outer = Fraction(K, 2 * (3 * K - 2))
-    else:
-        w_outer = Fraction(K - 1, 2 * (3 * K - 1))
-    weights = {lower: w_outer, K // 2: (1 - 2 * w_outer) / (1 + K % 2)}
-    design = OrbitDesign(K, weights, symmetric=True)
-    _check_identity_moments(design)
-    return design
+    return wide_design(K, (K - math.isqrt(_threshold_discriminant(K))) // 2).design
 
 
 def _check_identity_moments(design: OrbitDesign) -> None:
@@ -164,9 +155,11 @@ class WideDesignSpec(NamedTuple):
 def wide_design(k_factors: int, lower: int, ell: Optional[int] = None) -> WideDesignSpec:
     """Fully efficient design on [L, K-L] for L <= B_K.
 
-    The intermediate orbit index ell may be chosen by the caller from
-    admissible_ells(K); by default the smallest admissible integer is used.
-    Returns the full factorial for K <= 3, where ell does not apply.
+    A mixture of the one-pair designs of L and of an intermediate orbit ell,
+    which the caller may choose from admissible_ells(K); by default the
+    smallest admissible integer is used.  At the threshold L = B_K the
+    default is the pair L alone (alpha = 1, no ell): Lemma 2's design, which
+    is the full factorial for K <= 3, where ell does not apply.
     """
     K = k_factors
     if K < 2:
@@ -183,7 +176,6 @@ def wide_design(k_factors: int, lower: int, ell: Optional[int] = None) -> WideDe
             raise OrbitDesignError(
                 f"for K={K} the design is the full factorial; ell does not apply"
             )
-        return WideDesignSpec(K, 0, None, Fraction(1), full_factorial(K))
 
     kind = regime(K, lower)
     if kind == "narrow":
@@ -192,15 +184,12 @@ def wide_design(k_factors: int, lower: int, ell: Optional[int] = None) -> WideDe
             "use narrow_design"
         )
 
-    ells = _ell_range(K)
-    if ell is None:
-        if kind == "threshold":
-            # lower sits exactly at the threshold: the two-orbit design suffices.
-            return WideDesignSpec(K, lower, None, Fraction(1), lemma2_design(K))
+    ells = admissible_ells(K)
+    if ell is None and kind == "wide":
         ell = ells[0]
-    if ell <= lower:
+    if ell is not None and ell <= lower:
         raise OrbitDesignError(f"ell must exceed the lower bound, got ell={ell} <= {lower}")
-    if ell not in ells:
+    if ell is not None and ell not in ells:
         raise OrbitDesignError(
             f"ell={ell} outside the admissible range "
             f"[{threshold_b(K):.4f}, {(K - math.sqrt(K)) / 2:.4f}]"
@@ -208,27 +197,30 @@ def wide_design(k_factors: int, lower: int, ell: Optional[int] = None) -> WideDe
 
     # With t_x = K - 2x, s_x = t_x^2 (even K) or t_x^2 - 1 (odd K) and
     # c = K or K - 1, weight w_x = c / (2 s_x) on the pair x, K - x and the
-    # rest on the centre zero the second moment; mixing the L and ell
-    # components in proportion alpha = (disc - t_ell^2) / (t_L^2 - t_ell^2)
-    # zeroes the fourth; t_ell^2 <= disc (ell admissible) and t_L^2 >= disc
-    # (L not narrow) put alpha in [0, 1].  Over q = 2 s_L s_ell (t_L^2 - t_ell^2)
-    # the weights alpha w_L and (1 - alpha) w_ell are integers.
+    # rest on the centre zero the second moment.  At t_L^2 = disc the pair L
+    # alone (alpha = 1, q = 2 s_L, n_L = c) zeroes the fourth; else mixing the
+    # L and ell components in proportion alpha = (disc - t_ell^2) / (t_L^2 - t_ell^2)
+    # does; t_ell^2 <= disc (ell admissible) and t_L^2 >= disc (L not narrow)
+    # put alpha in [0, 1], and over q = 2 s_L s_ell (t_L^2 - t_ell^2) the
+    # weights alpha w_L and (1 - alpha) w_ell are integers.
     odd = K % 2
-    t_low2, t_ell2 = (K - 2 * lower) ** 2, (K - 2 * ell) ** 2
-    numer, span = _threshold_discriminant(K) - t_ell2, t_low2 - t_ell2
-    s_low, s_ell = t_low2 - odd, t_ell2 - odd
-    q = 2 * s_low * s_ell * span
-    n_low = (K - odd) * numer * s_ell
-    n_ell = (K - odd) * (span - numer) * s_low
-    weights = {
-        lower: Fraction(n_low, q),
-        ell: Fraction(n_ell, q),
-        # The rest goes to the central orbit, split over its two halves for odd K.
-        K // 2: Fraction(q - 2 * (n_low + n_ell), q * (1 + odd)),
-    }
+    s_low = (K - 2 * lower) ** 2 - odd
+    if ell is None:
+        alpha, q, n_low, n_ell = Fraction(1), 2 * s_low, K - odd, 0
+        weights = {lower: Fraction(n_low, q)}
+    else:
+        s_ell = (K - 2 * ell) ** 2 - odd
+        # disc - t_ell^2 and t_L^2 - t_ell^2
+        numer, span = _threshold_discriminant(K) - odd - s_ell, s_low - s_ell
+        alpha, q = Fraction(numer, span), 2 * s_low * s_ell * span
+        n_low = (K - odd) * numer * s_ell
+        n_ell = (K - odd) * (span - numer) * s_low
+        weights = {lower: Fraction(n_low, q), ell: Fraction(n_ell, q)}
+    # The rest goes to the central orbit, split over its two halves for odd K.
+    weights[K // 2] = Fraction(q - 2 * (n_low + n_ell), q * (1 + odd))
     design = OrbitDesign(K, weights, symmetric=True)
     _check_identity_moments(design)
-    return WideDesignSpec(K, lower, ell, Fraction(numer, span), design)
+    return WideDesignSpec(K, lower, ell, alpha, design)
 
 
 def minimize_scalar(
@@ -343,13 +335,12 @@ def narrow_design(k_factors: int, lower: int) -> NarrowDesignSpec:
     m2_0, m4_0 = orbit_moment(K, center, 2), orbit_moment(K, center, 4)
     m2_slope = 2 * (orbit_moment(K, lower, 2) - m2_0)
     m4_slope = 2 * (orbit_moment(K, lower, 4) - m4_0)
-    centre = MomentSet._make((0, m2_0, 0, m4_0))
-    exact = determinant_polynomials(K, centre, (0, m2_slope, 0, m4_slope))
+    exact = determinant_polynomials(K, (0, m2_0, 0, m4_0), (0, m2_slope, 0, m4_slope))
     polynomials = [(mult, [float(c) for c in reversed(coeffs)]) for mult, coeffs in exact]
 
     def derivatives(w: float) -> tuple[float, float]:
-        """d(log det)/dw and its derivative: the sums over the blocks of
-        mult p'/p and of mult (p''/p - (p'/p)^2), by Horner in floats."""
+        """d(-log det)/dw and its derivative: minus the sums over the blocks
+        of mult p'/p and of mult (p''/p - (p'/p)^2), by Horner in floats."""
         first = second = 0.0
         for mult, coeffs in polynomials:
             p = dp = half_d2p = 0.0
@@ -358,15 +349,11 @@ def narrow_design(k_factors: int, lower: int) -> NarrowDesignSpec:
                 dp = dp * w + p
                 p = p * w + c
             ratio = dp / p
-            first += mult * ratio
-            second += mult * (2 * half_d2p / p - ratio * ratio)
+            first -= mult * ratio
+            second -= mult * (2 * half_d2p / p - ratio * ratio)
         return first, second
 
-    def negated_derivatives(w: float) -> tuple[float, float]:
-        first, second = derivatives(w)
-        return -first, -second
-
-    w, evaluations = minimize_scalar(negated_derivatives, 0.0, 0.5)
+    w, evaluations = minimize_scalar(derivatives, 0.0, 0.5)
     # w* is the double nearest the root of d(log det)/dw: move one ulp while
     # the exact sign at the half-ulp midpoint (a/b + c/e) / 2 = (a e + c b) / (2 b e)
     # says the root lies beyond it, upwards first and downwards only if w
@@ -392,9 +379,10 @@ def narrow_design(k_factors: int, lower: int) -> NarrowDesignSpec:
             f"(max violation {report.max_violation:.3g}); this indicates a bug"
         )
     ld = log_det_symmetric(K, report.moments)
+    # The residual is d(log det)/dw; 0.0 - x, unlike -x, keeps a zero +0.0.
     return NarrowDesignSpec(
         K, lower, w, design, ld, d_efficiency_from_log_det(K, ld), report, evaluations,
-        derivatives(w)[0],
+        0.0 - derivatives(w)[0],
     )
 
 

@@ -304,7 +304,7 @@ def inverse_coefficients(k_factors: int, m: MomentSet) -> tuple[tuple[Block, ...
 
 
 def determinant_polynomials(
-    k_factors: int, m: MomentSet, dm: tuple[Numeric, ...]
+    k_factors: int, m: tuple[Numeric, ...], dm: tuple[Numeric, ...]
 ) -> list[tuple[int, tuple[int, ...]]]:
     """(multiplicity, coefficients) per block of det(D block(m + w dm)) in w.
 
@@ -314,7 +314,7 @@ def determinant_polynomials(
     a 3x3 block; a 2x2 block has no tr(a adj(b)) term, and a 1x1 block is
     a + w b.  The derivatives of log det M along dm are sums of p'/p.
     """
-    scale, values = common_scale((m.m1, m.m2, m.m3, m.m4, *dm))
+    scale, values = common_scale((*m, *dm))
     polynomials = []
     for a, b in zip(
         information_blocks(k_factors, *values[:4], one=scale),

@@ -27,7 +27,6 @@ normalised Fraction.
 
 from __future__ import annotations
 
-import math
 from collections import namedtuple
 from fractions import Fraction
 from functools import cache
@@ -46,9 +45,9 @@ ZERO = Fraction(0)
 class MomentSet(namedtuple("MomentSet", "m1 m2 m3 m4")):
     """The four invariant moments of a design; exact zeros for symmetric odd moments.
 
-    The constructor checks |m_j| <= 1.  design_moments, as_floats and
-    narrow_design build theirs with _make, which skips the check: their
-    values are orbit moments or mixtures of them, in [-1, 1] by construction.
+    The constructor checks |m_j| <= 1.  design_moments and as_floats build
+    theirs with _make, which skips the check: their values are orbit moments
+    or mixtures of them, in [-1, 1] by construction.
     """
 
     __slots__ = ()
@@ -101,24 +100,6 @@ def orbit_moment(k_factors: int, k: int, j: int) -> Fraction:
     coeffs, denom = moment_polynomial(k_factors, j)
     t = 2 * k - k_factors
     return Fraction(sum(c * t**i for i, c in enumerate(coeffs)), denom)
-
-
-def orbit_moment_sum(k_factors: int, k: int, j: int) -> Fraction:
-    """Same moment via the alternating binomial sum (independent code path).
-
-    Splits the j product coordinates by how many are active: i active ones
-    contribute sign (-1)^(j-i), and C(K-j, k-i) points share that pattern.
-    """
-    _check_args(k_factors, k, j)
-    K = k_factors
-    total = 0
-    for i in range(j + 1):
-        remaining = k - i
-        if remaining < 0 or remaining > K - j:
-            continue
-        term = math.comb(j, i) * math.comb(K - j, remaining)
-        total += term if (i + j) % 2 == 0 else -term
-    return Fraction(total, math.comb(K, k))
 
 
 def design_moments(design: OrbitDesign) -> MomentSet:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -46,6 +47,24 @@ def random_symmetric_designs(k_factors, count, seed, min_total=0.0):
         totals = {k: float(w) for k, w in zip(chosen, raw)}
         designs.append(symmetric_design(k_factors, totals))
     return designs
+
+
+def orbit_moment_sum(k_factors, k, j):
+    """Oracle for orbit_moment: the j-th moment of orbit k via the
+    alternating binomial sum, an independent code path.
+
+    Splits the j product coordinates by how many are active: i active ones
+    contribute sign (-1)^(j-i), and C(K-j, k-i) points share that pattern.
+    """
+    K = k_factors
+    total = 0
+    for i in range(j + 1):
+        remaining = k - i
+        if remaining < 0 or remaining > K - j:
+            continue
+        term = math.comb(j, i) * math.comb(K - j, remaining)
+        total += term if (i + j) % 2 == 0 else -term
+    return Fraction(total, math.comb(K, k))
 
 
 def random_asymmetric_designs(k_factors, count, seed):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import math
 from fractions import Fraction
 
@@ -212,6 +213,59 @@ class TestWideDesign:
             wide_design(22, 0, 6)  # below the threshold
 
 
+def digest(lines):
+    return hashlib.sha256("\n".join(lines).encode()).hexdigest()[:16]
+
+
+def error_line(prefix, error):
+    return f"{prefix} {type(error).__name__}: {error}"
+
+
+class TestIdentityDesignsFrozen:
+    """Every identity design, and every error of their constructors, as
+    printed: ell, alpha and the exact weights of wide_design for K = 2..100,
+    every L and every ell, and lemma2_design for K = 2..10,000."""
+
+    def test_wide_family_digest(self):
+        lines = []
+        for K in range(2, 101):
+            for L in range(K // 2 + 1):
+                for ell in (None, *admissible_ells(K)):
+                    try:
+                        s = wide_design(K, L, ell)
+                    except OrbitDesignError as e:
+                        lines.append(error_line(f"{K} {L} {ell}", e))
+                    else:
+                        lines.append(f"{K} {L} {ell} {s.ell} {s.alpha} {s.design!r}")
+        assert len(lines) == 10378
+        assert digest(lines) == "0e6b4e2bfde7790f"
+
+    def test_lemma2_digest(self):
+        lines = []
+        for K in range(2, 10_001):
+            try:
+                lines.append(f"{K} {lemma2_design(K)!r}")
+            except OrbitDesignError as e:
+                lines.append(error_line(K, e))
+        assert digest(lines) == "3ffa94bead143744"
+
+    def test_one_pair_weights_equal_lemma2_closed_form(self):
+        thresholds = [K for K in range(2, 10_001) if is_integer_threshold(K)]
+        assert thresholds[:6] == [2, 3, 6, 22, 27, 34]
+        for K in thresholds:
+            if K % 2 == 0:
+                w_outer = Fraction(K, 2 * (3 * K - 2))
+            else:
+                w_outer = Fraction(K - 1, 2 * (3 * K - 1))
+            lower, centre = round(threshold_b(K)), (1 - 2 * w_outer) / (1 + K % 2)
+            spec = wide_design(K, lower)
+            assert (spec.ell, spec.alpha) == (None, 1)
+            assert spec.design.weights() == {
+                lower: w_outer, K - lower: w_outer, K // 2: centre, (K + 1) // 2: centre
+            }, K
+            assert lemma2_design(K) == spec.design
+
+
 class TestNarrowDesign:
     @pytest.mark.parametrize("row", NARROW_ROWS, ids=lambda r: f"K{r[0]}-L{r[1]}")
     def test_reference_rows(self, row):
@@ -347,10 +401,10 @@ class TestRegime:
             assert regime(k_factors, lower) == "narrow"
 
     def test_admissible_ells_band(self):
-        assert admissible_ells(9) == [2, 3]
-        assert admissible_ells(22) == [7, 8]
+        assert list(admissible_ells(9)) == [2, 3]
+        assert list(admissible_ells(22)) == [7, 8]
         for k_factors in range(4, 65):
-            ells = admissible_ells(k_factors)
+            ells = list(admissible_ells(k_factors))
             assert ells == list(range(ells[0], ells[-1] + 1))
             assert threshold_b(k_factors) <= ells[0]
             assert ells[-1] <= (k_factors - math.sqrt(k_factors)) / 2
@@ -360,7 +414,7 @@ class TestRegime:
         for K in range(-3, 400):
             disc = 3 * K - 2 if K % 2 == 0 else 3 * K
             scan = [ell for ell in range(K // 2 + 1) if K <= (K - 2 * ell) ** 2 <= disc]
-            assert admissible_ells(K) == scan, K
+            assert list(admissible_ells(K)) == scan, K
 
     def test_wide_design_beyond_centre_rejected(self):
         # The L = 1 design is supported on {1, 3, 5}, outside [5, 6].

@@ -27,12 +27,13 @@ from orbitdesign import (
     kw_check,
     model_dims,
     narrow_design,
-    orbit_moment_sum,
     regime,
     wide_design,
 )
 from orbitdesign.construct import log_det_slope
 from orbitdesign.info_matrix import information_blocks
+
+from conftest import orbit_moment_sum
 
 
 def random_design(rng, k_factors, rational, symmetric):

@@ -17,12 +17,13 @@ from orbitdesign import (
     enumerate_orbit,
     narrow_design,
     orbit_moment,
-    orbit_moment_sum,
     orbit_size,
     regime,
     wide_design,
 )
 from orbitdesign.moments import ZERO, moment_polynomial
+
+from conftest import orbit_moment_sum
 
 
 def enumeration_moment(k_factors, k, j):
