@@ -232,8 +232,6 @@ def _wide_rows(k_factors: int) -> list[str]:
         if regime(K, low) == "narrow":
             continue
         for ell in admissible_ells(K):
-            if ell < low:
-                continue
             # ell == low happens only when low sits exactly at the threshold;
             # that is the two-orbit row, printed without an ell entry.
             two_orbit = ell == low

@@ -97,7 +97,9 @@ def regime(k_factors: int, lower: int) -> str:
 
 def admissible_ells(k_factors: int) -> range:
     """Intermediate orbits of the wide designs: B_K <= ell <= (K - sqrt(K))/2,
-    i.e. K <= t^2 <= disc for t = K - 2 ell, or ceil(sqrt K) <= t <= isqrt(disc)."""
+    i.e. K <= t^2 <= disc for t = K - 2 ell, or ceil(sqrt K) <= t <= isqrt(disc).
+    A region [L, K-L] takes only those above L: not ell = B_K at L = B_K, and
+    none for K <= 3 (the range [0]), where the design is the full factorial."""
     K = k_factors
     if K < 1:
         return range(0)

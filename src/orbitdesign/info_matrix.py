@@ -96,22 +96,11 @@ class Block(NamedTuple):
 
 
 class RegularityReport(NamedTuple):
-    """Outcome of the nonsingularity test for a symmetric invariant design."""
+    """Nonsingularity verdict of an invariant design: regular, or the names
+    of the blocks ("A", "B", "lambda_I") whose determinant is not positive."""
 
     regular: bool
     failing: tuple[str, ...]
-    symmetric_support: tuple[int, ...]
-
-    def __bool__(self) -> bool:
-        return self.regular
-
-    def message(self) -> str:
-        if self.regular:
-            return "design is regular (all parameters estimable)"
-        return (
-            f"singular design: block(s) {', '.join(self.failing)} vanish for "
-            f"symmetric support {self.symmetric_support}"
-        )
 
 
 def build_s_matrix(k_factors: int) -> np.ndarray:
@@ -169,8 +158,7 @@ def information_blocks(
     which gives the blocks of the derivative of M along the moments, and
     scaling the moments and one by D gives the blocks of D M.
     """
-    K = k_factors
-    n = math.comb(K, 2)
+    K, _, n = model_dims(k_factors)
     a = (
         (one, K * m1, n * m2),
         (m1, one + (K - 1) * m2, (K - 1) * m1 + math.comb(K - 1, 2) * m3),
@@ -213,14 +201,11 @@ def common_scale(values) -> tuple[int, list[int]]:
     return scale, [n * (scale // d) for n, d in ratios]
 
 
-def _scaled_blocks(k_factors: int, m: MomentSet) -> tuple[int, tuple[Block, ...]]:
-    """A scale D and the integer blocks of D M."""
+def _factored_blocks(k_factors: int, m: MomentSet):
+    """A scale D and (block, adjugate, determinant) of each integer block of D M."""
     scale, moments = common_scale((m.m1, m.m2, m.m3, m.m4))
-    return scale, information_blocks(k_factors, *moments, one=scale)
-
-
-def _singular(block: Block) -> SingularDesignError:
-    return SingularDesignError(f"information matrix is singular (block {block.name})")
+    blocks = information_blocks(k_factors, *moments, one=scale)
+    return scale, [(block, *_adjugate(block.matrix)) for block in blocks]
 
 
 def log_det_symmetric(k_factors: int, m: MomentSet) -> float:
@@ -231,10 +216,10 @@ def log_det_symmetric(k_factors: int, m: MomentSet) -> float:
     Near 1 the rounded ratio would lose digits to log, so there the term is
     log1p of the exactly rounded (det - D^n) / D^n.
     """
-    scale, blocks = _scaled_blocks(k_factors, m)
+    scale, factored = _factored_blocks(k_factors, m)
     total = 0.0
-    for block in blocks:
-        det, n = _adjugate(block.matrix)[1], len(block.matrix)
+    for block, _, det in factored:
+        n = len(block.matrix)
         if det <= 0:
             return -math.inf
         unit = scale**n
@@ -254,31 +239,21 @@ def d_efficiency_from_log_det(k_factors: int, log_det: float) -> float:
     return math.exp(log_det / model_dims(k_factors).p)
 
 
-def regularity(design: OrbitDesign, k_factors: int | None = None) -> RegularityReport:
-    """Nonsingularity classification of a symmetric invariant design.
+def regularity(design: OrbitDesign) -> RegularityReport:
+    """Nonsingularity of the information matrix of an invariant design.
 
-    The matrix is nonsingular exactly when the design touches at least two
-    distinct symmetric orbits and, for K >= 4, some supported orbit is
-    strictly between the extremes (0 < k < K/2, keeps lambda_S positive) and
-    some supported orbit has k > 1 (keeps lambda_I positive).  lambda_one
-    and M11 = 1 + (K-1) m2 are the factors of det A, lambda_S and 1 - m2
-    those of det B for symmetric moments.
+    M is nonsingular exactly when det A, det B and lambda_I are positive;
+    failing names the blocks whose determinant is not.  Any invariant
+    design is accepted.  For a symmetric design this is the paper's
+    support rule, M is nonsingular when the design touches
+
+    - at least two distinct symmetric orbits (det A > 0);
+    - for K >= 4, some orbit with 0 < k < K/2 (det B > 0);
+    - for K >= 4, some orbit with k > 1 (lambda_I > 0).
     """
-    if not design.symmetric:
-        raise OrbitDesignError("regularity classification applies to symmetric designs")
-    K = design.k_factors if k_factors is None else k_factors
-    if K != design.k_factors:
-        raise OrbitDesignError(f"design has K={design.k_factors}, expected {K}")
-    support = design.symmetric_support()
-    failing: list[str] = []
-    if len(support) < 2:
-        failing += ["lambda_one", "M11"]
-    if K > 3:
-        if not any(0 < k < K / 2 for k in support):
-            failing.append("lambda_S")
-        if not any(k > 1 for k in support):
-            failing.append("lambda_I")
-    return RegularityReport(not failing, tuple(failing), support)
+    _, factored = _factored_blocks(design.k_factors, design_moments(design))
+    failing = tuple(block.name for block, _, det in factored if det <= 0)
+    return RegularityReport(not failing, failing)
 
 
 def inverse_coefficients(k_factors: int, m: MomentSet) -> tuple[tuple[Block, ...], int]:
@@ -288,11 +263,10 @@ def inverse_coefficients(k_factors: int, m: MomentSet) -> tuple[tuple[Block, ...
     denominator, and the entries D adj(D M) L / det are integers.  Raises
     SingularDesignError naming the first singular block.
     """
-    scale, blocks = _scaled_blocks(k_factors, m)
-    factored = [(block, *_adjugate(block.matrix)) for block in blocks]
+    scale, factored = _factored_blocks(k_factors, m)
     for block, _, det in factored:
         if det <= 0:
-            raise _singular(block)
+            raise SingularDesignError(f"information matrix is singular (block {block.name})")
     denominator = math.lcm(*(det for _, _, det in factored))
     numerator = scale * denominator
     inverse = []

@@ -578,6 +578,66 @@ def test_unreadable_design_file_rejected(capsys, tmp_path, command, content):
     assert "cannot read design file" in err
 
 
+def k6_file(**changes):
+    """K6_NARROW_FILE with some top-level values replaced."""
+    return {**json.loads(json.dumps(K6_NARROW_FILE)), **changes}
+
+
+@pytest.mark.parametrize("command", ["verify", "expand"])
+@pytest.mark.parametrize(
+    "payload, message",
+    [
+        ([K6_NARROW_FILE], "design file must hold a JSON object"),
+        (
+            {key: K6_NARROW_FILE[key] for key in ("k", "lower", "orbits")},
+            "design file: missing keys ['upper']",
+        ),
+        (k6_file(k=6.0), "design file: k must be an integer"),
+        (k6_file(lower=True), "design file: lower must be an integer"),
+        (k6_file(upper="4"), "design file: upper must be an integer"),
+        (k6_file(orbits=[]), "design file: orbits must be a nonempty list"),
+        (k6_file(orbits={"k": 3, "weight": 1}), "design file: orbits must be a nonempty list"),
+        (k6_file(orbits=[3]), "design file: each orbit needs exactly the keys 'k' and 'weight'"),
+        (
+            k6_file(orbits=[{"k": 3}]),
+            "design file: each orbit needs exactly the keys 'k' and 'weight'",
+        ),
+        (
+            k6_file(orbits=[{"k": 3, "weight": 1, "note": ""}]),
+            "design file: each orbit needs exactly the keys 'k' and 'weight'",
+        ),
+        (
+            k6_file(orbits=[{"k": 3.0, "weight": 1}]),
+            "design file: orbit index must be an integer",
+        ),
+        (
+            k6_file(orbits=[{"k": 3, "weight": 0.5}, {"k": 3, "weight": 0.5}]),
+            "design file: duplicate orbit index 3",
+        ),
+    ],
+    ids=[
+        "not-an-object",
+        "missing-key",
+        "float-k",
+        "bool-lower",
+        "string-upper",
+        "empty-orbits",
+        "orbits-not-a-list",
+        "orbit-not-an-object",
+        "orbit-without-weight",
+        "orbit-with-extra-key",
+        "float-orbit-index",
+        "duplicate-orbit-index",
+    ],
+)
+def test_malformed_design_file_rejected(capsys, tmp_path, command, payload, message):
+    path = write_design(tmp_path / "d.json", payload)
+    code, out, err = run_cli(capsys, command, path)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {message}\n"
+
+
 @pytest.mark.parametrize(
     "argv",
     [

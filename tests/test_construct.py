@@ -29,7 +29,7 @@ from orbitdesign import (
     threshold_b,
     wide_design,
 )
-from orbitdesign.construct import admissible_ells, minimize_scalar
+from orbitdesign.construct import SEARCH_MAX_EVALUATIONS, admissible_ells, minimize_scalar
 
 from reference_tables import NARROW_ROWS, WIDE_ROWS
 
@@ -46,6 +46,18 @@ class TestThreshold:
 
     def test_integer_predicate(self):
         assert [k for k in range(2, 40) if is_integer_threshold(k)] == [2, 3, 6, 22, 27, 34]
+
+    @pytest.mark.parametrize("k_factors", [-1, 0, 1])
+    def test_needs_two_factors(self, k_factors):
+        calls = [
+            threshold_b,
+            is_integer_threshold,
+            lambda k: regime(k, 0),
+            lambda k: wide_design(k, 0),
+        ]
+        for call in calls:
+            with pytest.raises(OrbitDesignError, match=f"need K >= 2, got {k_factors}$"):
+                call(k_factors)
 
     def test_matches_table_column(self):
         for row in WIDE_ROWS + NARROW_ROWS:
@@ -199,6 +211,10 @@ class TestWideDesign:
             wide_design(3, 1)
         with pytest.raises(EstimabilityError):
             wide_design(2, 1)
+
+    def test_negative_lower_rejected(self):
+        with pytest.raises(OrbitDesignError, match="lower bound must be nonnegative, got -1$"):
+            wide_design(12, -1)
 
     def test_narrow_lower_rejected(self):
         with pytest.raises(WrongRegimeError):
@@ -369,6 +385,19 @@ class TestMinimizeScalar:
         assert x == pytest.approx(1, abs=1e-12)
         assert points[:2] == [10.0, 0.0]
         assert all(-10 < p < 30 for p in points)
+
+    def test_collapsed_bracket_stops(self):
+        # |x - 1/3| has second derivative 0, so no Newton step is taken and
+        # every step bisects; the search stops once the bracket is narrower
+        # than SEARCH_XTOL, before the evaluation cap.
+        kink = 1 / 3
+
+        def derivatives(x):
+            return (1.0 if x > kink else -1.0), 0.0
+
+        x, evaluations = minimize_scalar(derivatives, 0.0, 1.0)
+        assert evaluations < SEARCH_MAX_EVALUATIONS
+        assert abs(x - kink) <= 1e-12
 
 
 class TestAsymmetricReduce:

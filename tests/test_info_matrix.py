@@ -26,8 +26,9 @@ from orbitdesign import (
     optimal_design,
     orbit_moment,
     regularity,
+    sensitivity_poly,
 )
-from orbitdesign.info_matrix import information_blocks
+from orbitdesign.info_matrix import determinant_polynomials, information_blocks
 
 from conftest import random_asymmetric_designs, random_symmetric_designs, symmetric_design
 
@@ -308,7 +309,7 @@ class TestRegularity:
         d = symmetric_design(6, {0: Fraction(1, 2), 3: Fraction(1, 2)})
         report = regularity(d)
         assert not report.regular
-        assert "lambda_S" in report.failing
+        assert "B" in report.failing
 
     def test_first_two_orbits_fail_lambda_i(self):
         d = symmetric_design(8, {0: Fraction(1, 2), 1: Fraction(1, 2)})
@@ -334,6 +335,63 @@ class TestRegularity:
                         k_factors,
                         subset,
                     )
+
+    def test_asymmetric_against_dense_rank(self):
+        for k_factors in range(2, 9):
+            p = model_dims(k_factors).p
+            for size in range(1, 4):
+                for subset in combinations(range(k_factors + 1), size):
+                    d = OrbitDesign(k_factors, {k: Fraction(1, size) for k in subset})
+                    dense = brute_force_info(d).dense
+                    report = regularity(d)
+                    dense_regular = np.linalg.matrix_rank(dense) == p
+                    assert report.regular == dense_regular, (k_factors, subset)
+                    assert report.regular == (not report.failing)
+                    assert set(report.failing) <= {"A", "B", "lambda_I"}
+
+    def test_symmetric_support_rule(self):
+        # The paper's rule for symmetric designs, as the oracle: two distinct
+        # symmetric orbits, and for K >= 4 one with 0 < k < K/2 and one with k > 1.
+        def support_rule(k_factors, support):
+            if len(support) < 2:
+                return False
+            return k_factors < 4 or (
+                any(0 < k < k_factors / 2 for k in support) and any(k > 1 for k in support)
+            )
+
+        checked = 0
+        for k_factors in range(2, 41):
+            for size in range(1, 4):
+                for subset in combinations(range(k_factors // 2 + 1), size):
+                    report = regularity(
+                        symmetric_design(k_factors, {k: Fraction(1, size) for k in subset})
+                    )
+                    assert report.regular == support_rule(k_factors, subset), (k_factors, subset)
+                    assert report.regular == (not report.failing)
+                    assert set(report.failing) <= {"A", "B", "lambda_I"}
+                    checked += 1
+        assert checked == 16_609
+
+
+class TestTooFewFactors:
+    """Every block formula refuses K <= 1 with the model's own error."""
+
+    @pytest.mark.parametrize("k_factors", [0, 1])
+    def test_block_formulas(self, k_factors):
+        calls = [
+            lambda: information_blocks(k_factors, 0, 0, 0, 0),
+            lambda: log_det_symmetric(k_factors, ZERO_MOMENTS),
+            lambda: inverse_coefficients(k_factors, ZERO_MOMENTS),
+            lambda: determinant_polynomials(k_factors, ZERO_MOMENTS, ZERO_MOMENTS),
+            lambda: sensitivity_poly(k_factors, ZERO_MOMENTS),
+        ]
+        for call in calls:
+            with pytest.raises(OrbitDesignError, match=f"needs K >= 2, got {k_factors}$"):
+                call()
+
+    def test_regularity(self):
+        with pytest.raises(OrbitDesignError, match="needs K >= 2, got 1$"):
+            regularity(OrbitDesign(1, {0: 0.5, 1: 0.5}))
 
 
 class TestInverse:

@@ -129,6 +129,8 @@ class TestRegion:
             Region(6, -1, 4)
         with pytest.raises(OrbitDesignError):
             Region(6, 0, 7)
+        with pytest.raises(OrbitDesignError, match="factor count must be positive, got 0$"):
+            Region(0, 0, 0)
 
 
 class TestOrbitDesign:
@@ -143,6 +145,12 @@ class TestOrbitDesign:
     def test_symmetric_rejects_upper_half_keys(self):
         with pytest.raises(OrbitDesignError):
             OrbitDesign(6, {4: Fraction(1, 2), 3: Fraction(1, 2)}, symmetric=True)
+        with pytest.raises(OrbitDesignError, match=r"orbit index must be in 0\.\.6, got 7$"):
+            OrbitDesign(6, {7: 1}, symmetric=True)
+
+    def test_needs_a_factor(self):
+        with pytest.raises(OrbitDesignError, match="factor count must be positive, got 0$"):
+            OrbitDesign(0, {0: 1})
 
     def test_weight_sum_enforced(self):
         with pytest.raises(OrbitDesignError):

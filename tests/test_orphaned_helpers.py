@@ -1,10 +1,14 @@
-"""No private helper of the package is left without a reader.
+"""No private helper and no method of the package is left without a reader.
 
 A single-underscore name bound at module level (``def _x``, ``class _X``,
 ``_X = ...``) is private to the package, so if no module reads it, it is
 dead code.  A read inside the name's own definition, such as a recursive
-call, does not count.  Dunders such as ``__version__`` are exempt.  Each
-module is parsed, not imported.
+call, does not count.  Dunders such as ``__version__`` are exempt.
+
+A method defined on a class of the package (dunders exempt) must be read as
+an attribute, ``.name``, somewhere in ``src/``, ``tests/`` or ``perfbench/``.
+
+Each file is parsed, not imported.
 """
 
 from __future__ import annotations
@@ -15,6 +19,7 @@ from pathlib import Path
 import orbitdesign
 
 PACKAGE = Path(orbitdesign.__file__).resolve().parent
+READERS = (PACKAGE.parent, Path(__file__).resolve().parent, PACKAGE.parents[1] / "perfbench")
 
 
 def private_definitions(tree):
@@ -55,6 +60,31 @@ def orphaned_helpers(sources):
     return orphans
 
 
+def orphaned_methods(sources, readers):
+    """'module.Class.method' of each non-dunder method defined on a class of
+    sources (module name -> source text) that no text of readers reads as an
+    attribute."""
+    read = {
+        node.attr
+        for text in readers
+        for node in ast.walk(ast.parse(text))
+        if isinstance(node, ast.Attribute)
+    }
+    orphans = []
+    for module, source in sources.items():
+        for cls in ast.walk(ast.parse(source)):
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            for node in cls.body:
+                if (
+                    isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                    and not (node.name.startswith("__") and node.name.endswith("__"))
+                    and node.name not in read
+                ):
+                    orphans.append(f"{module}.{cls.name}.{node.name}")
+    return orphans
+
+
 def test_no_private_helper_is_orphaned():
     sources = {p.stem: p.read_text(encoding="utf-8") for p in sorted(PACKAGE.glob("*.py"))}
     assert orphaned_helpers(sources) == []
@@ -80,3 +110,32 @@ def test_detects_orphaned_helper():
         ),
     }
     assert orphaned_helpers(sources) == ["a._UNUSED", "a._recursive"]
+
+
+def test_no_method_is_orphaned():
+    sources = {p.stem: p.read_text(encoding="utf-8") for p in sorted(PACKAGE.glob("*.py"))}
+    readers = [p.read_text(encoding="utf-8") for root in READERS for p in root.rglob("*.py")]
+    assert orphaned_methods(sources, readers) == []
+
+
+def test_detects_orphaned_method():
+    sources = {
+        "a": (
+            "class A:\n"
+            "    def __len__(self):\n"
+            "        return 0\n"
+            "    def used(self):\n"
+            "        pass\n"
+            "    def _private(self):\n"
+            "        pass\n"
+            "    def unused(self):\n"
+            "        pass\n"
+            "    def called_by_name(self):\n"
+            "        pass\n"
+        ),
+    }
+    readers = [
+        "from a import A\nA().used()\nread = A()._private\n",
+        "unused = 1\ncalled_by_name()\n",
+    ]
+    assert orphaned_methods(sources, readers) == ["a.A.unused", "a.A.called_by_name"]
