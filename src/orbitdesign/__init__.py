@@ -7,6 +7,13 @@ constructs its design -- fully efficient for wide bounds, with an optimized
 outer-orbit weight for narrow bounds -- and certifies optimality through
 the equivalence theorem.  See the command line front end in
 ``orbitdesign.cli`` for the packaged workflows.
+
+``__all__`` names three groups: the region and its designs (``Region``,
+``OrbitDesign``, ``MomentSet``), the constructors with their regime test
+and result types, and ``kw_check`` with its ``KwReport``; plus the
+exceptions.  The block algebra and the dense oracles are imported from
+``orbitdesign.info_matrix``; orbit sizes and enumeration from
+``orbitdesign.orbits``, single-orbit moments from ``orbitdesign.moments``.
 """
 
 from .exceptions import (
@@ -16,33 +23,13 @@ from .exceptions import (
     UnsupportedRegionError,
     WrongRegimeError,
 )
-from .orbits import (
-    OrbitDesign,
-    Region,
-    enumerate_orbit,
-    orbit_size,
-    point_weight,
-)
-from .moments import MomentSet, design_moments, orbit_moment
-from .info_matrix import (
-    InfoMatrix,
-    ModelDims,
-    RegularityReport,
-    assemble_general,
-    assemble_inverse,
-    build_s_matrix,
-    info_matrix_of,
-    inverse_coefficients,
-    log_det_symmetric,
-    model_dims,
-    regularity,
-)
+from .orbits import OrbitDesign, Region
+from .moments import MomentSet
 from .construct import (
     NarrowDesignSpec,
     OptimalDesign,
     WideDesignSpec,
     full_factorial,
-    is_integer_threshold,
     lemma2_design,
     narrow_design,
     optimal_design,
@@ -50,55 +37,21 @@ from .construct import (
     threshold_b,
     wide_design,
 )
-from .verify import (
-    KwReport,
-    SensitivityPoly,
-    brute_force_info,
-    kw_check,
-    sensitivity_poly,
-)
+from .verify import KwReport, kw_check
+
+# Reached as ``orbitdesign.<name>`` by perfbench/jobs.py; not public.
+from .moments import design_moments
+from .info_matrix import assemble_inverse, info_matrix_of, log_det_symmetric
+from .verify import brute_force_info, sensitivity_poly
 
 __all__ = [
-    "EstimabilityError",
-    "InfoMatrix",
-    "KwReport",
-    "ModelDims",
-    "MomentSet",
-    "NarrowDesignSpec",
-    "OptimalDesign",
-    "OrbitDesign",
-    "OrbitDesignError",
-    "Region",
-    "RegularityReport",
-    "SensitivityPoly",
-    "SingularDesignError",
-    "UnsupportedRegionError",
-    "WideDesignSpec",
-    "WrongRegimeError",
-    "assemble_general",
-    "assemble_inverse",
-    "brute_force_info",
-    "build_s_matrix",
-    "design_moments",
-    "enumerate_orbit",
-    "full_factorial",
-    "info_matrix_of",
-    "inverse_coefficients",
-    "is_integer_threshold",
+    "EstimabilityError", "OrbitDesignError", "SingularDesignError",
+    "UnsupportedRegionError", "WrongRegimeError",
+    "OrbitDesign", "Region", "MomentSet",
+    "optimal_design", "wide_design", "narrow_design", "full_factorial",
+    "lemma2_design", "regime", "threshold_b",
     "kw_check",
-    "lemma2_design",
-    "log_det_symmetric",
-    "model_dims",
-    "narrow_design",
-    "optimal_design",
-    "orbit_moment",
-    "orbit_size",
-    "point_weight",
-    "regime",
-    "regularity",
-    "sensitivity_poly",
-    "threshold_b",
-    "wide_design",
+    "OptimalDesign", "WideDesignSpec", "NarrowDesignSpec", "KwReport",
 ]
 
 __version__ = "0.1.0"

@@ -143,7 +143,7 @@ def _load_design_file(path: str):
         raise OrbitDesignError(f"cannot read design file {path}: {exc}") from exc
 
     if not isinstance(raw, dict):
-        raise OrbitDesignError("design file must hold a JSON object")
+        raise OrbitDesignError("design file: must hold a JSON object")
     expected = {"k", "lower", "upper", "orbits"}
     if set(raw) != expected:
         unknown = set(raw) - expected

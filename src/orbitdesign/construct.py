@@ -430,8 +430,9 @@ def optimal_design(
     if kind != "narrow":
         design = wide_design(K, effective, ell).design
         report = kw_check(design, lower, upper, tol)
-        # Zero moments are M = I, whose log det is exactly 0.
-        ld = 0.0 if report.moments.all_zero() else log_det_symmetric(K, report.moments)
+        # wide_design refuses any nonzero moment (_check_identity_moments), and
+        # kw_check returns those moments: M = I, whose log det is exactly 0.
+        ld = 0.0
     elif not region.symmetric():
         raise UnsupportedRegionError(
             f"asymmetric bounds [{lower}, {upper}] put max(L, K-U) = {effective} above "

@@ -23,6 +23,7 @@ import math
 import operator
 import sys
 from collections import namedtuple
+from decimal import Decimal
 from fractions import Fraction
 from functools import cache
 from itertools import combinations, product
@@ -55,15 +56,9 @@ def orbit_size(k_factors: int, k: int) -> int:
 
 def size_digits(size: int) -> str:
     """All digits of an orbit size, past the int-to-str digit limit (K >= 14,292) too."""
-    try:
-        return str(size)
-    except ValueError:
-        limit = sys.get_int_max_str_digits()
-        sys.set_int_max_str_digits(0)
-        try:
-            return str(size)
-        finally:
-            sys.set_int_max_str_digits(limit)
+    # Decimal writes every digit of an int and is not bound by that limit,
+    # so no interpreter-wide setting has to change.
+    return str(Decimal(size))
 
 
 def listed_size(k_factors: int, k: int) -> int:

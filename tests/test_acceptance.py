@@ -14,19 +14,15 @@ import numpy as np
 
 from orbitdesign import (
     MomentSet,
-    assemble_general,
-    brute_force_info,
-    design_moments,
     kw_check,
     lemma2_design,
-    log_det_symmetric,
-    model_dims,
     narrow_design,
-    point_weight,
-    regularity,
-    sensitivity_poly,
     wide_design,
 )
+from orbitdesign.info_matrix import assemble_general, log_det_symmetric, model_dims, regularity
+from orbitdesign.moments import design_moments
+from orbitdesign.orbits import point_weight
+from orbitdesign.verify import brute_force_info, sensitivity_poly
 
 from conftest import (
     exact_identity,

@@ -16,16 +16,11 @@ import pytest
 
 import orbitdesign
 import orbitdesign.cli
-from orbitdesign import (
-    OrbitDesign,
-    assemble_general,
-    design_moments,
-    enumerate_orbit,
-    optimal_design,
-    orbit_size,
-)
+from orbitdesign import OrbitDesign, optimal_design
 from orbitdesign.cli import EXIT_BROKEN_PIPE, EXPAND_CHUNK_LINES, main
-from orbitdesign.orbits import MAX_ORBIT_POINTS
+from orbitdesign.info_matrix import assemble_general
+from orbitdesign.moments import design_moments
+from orbitdesign.orbits import MAX_ORBIT_POINTS, enumerate_orbit, orbit_size
 
 from conftest import feature_vector
 from reference_tables import NARROW_ROWS, WIDE_ROWS
@@ -587,7 +582,7 @@ def k6_file(**changes):
 @pytest.mark.parametrize(
     "payload, message",
     [
-        ([K6_NARROW_FILE], "design file must hold a JSON object"),
+        ([K6_NARROW_FILE], "design file: must hold a JSON object"),
         (
             {key: K6_NARROW_FILE[key] for key in ("k", "lower", "orbits")},
             "design file: missing keys ['upper']",

@@ -16,20 +16,24 @@ from orbitdesign import (
     OrbitDesignError,
     UnsupportedRegionError,
     WrongRegimeError,
-    design_moments,
     full_factorial,
-    is_integer_threshold,
     kw_check,
     lemma2_design,
-    log_det_symmetric,
     narrow_design,
     optimal_design,
-    orbit_size,
     regime,
     threshold_b,
     wide_design,
 )
-from orbitdesign.construct import SEARCH_MAX_EVALUATIONS, admissible_ells, minimize_scalar
+from orbitdesign.construct import (
+    SEARCH_MAX_EVALUATIONS,
+    admissible_ells,
+    is_integer_threshold,
+    minimize_scalar,
+)
+from orbitdesign.info_matrix import log_det_symmetric
+from orbitdesign.moments import design_moments
+from orbitdesign.orbits import orbit_size
 
 from reference_tables import NARROW_ROWS, WIDE_ROWS
 

@@ -23,15 +23,14 @@ import orbitdesign.moments
 from orbitdesign import (
     OrbitDesign,
     SingularDesignError,
-    design_moments,
     kw_check,
-    model_dims,
     narrow_design,
     regime,
     wide_design,
 )
 from orbitdesign.construct import log_det_slope
-from orbitdesign.info_matrix import information_blocks
+from orbitdesign.info_matrix import information_blocks, model_dims
+from orbitdesign.moments import design_moments
 
 from conftest import orbit_moment_sum
 

@@ -15,20 +15,21 @@ from orbitdesign import (
     OrbitDesign,
     OrbitDesignError,
     SingularDesignError,
+    optimal_design,
+)
+from orbitdesign.info_matrix import (
     assemble_general,
     assemble_inverse,
-    brute_force_info,
     build_s_matrix,
-    design_moments,
+    determinant_polynomials,
+    information_blocks,
     inverse_coefficients,
     log_det_symmetric,
     model_dims,
-    optimal_design,
-    orbit_moment,
     regularity,
-    sensitivity_poly,
 )
-from orbitdesign.info_matrix import determinant_polynomials, information_blocks
+from orbitdesign.moments import design_moments, orbit_moment
+from orbitdesign.verify import brute_force_info, sensitivity_poly
 
 from conftest import random_asymmetric_designs, random_symmetric_designs, symmetric_design
 

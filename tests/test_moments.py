@@ -13,15 +13,12 @@ from orbitdesign import (
     MomentSet,
     OrbitDesign,
     OrbitDesignError,
-    design_moments,
-    enumerate_orbit,
     narrow_design,
-    orbit_moment,
-    orbit_size,
     regime,
     wide_design,
 )
-from orbitdesign.moments import ZERO, moment_polynomial
+from orbitdesign.moments import ZERO, design_moments, moment_polynomial, orbit_moment
+from orbitdesign.orbits import enumerate_orbit, orbit_size
 
 from conftest import orbit_moment_sum
 

@@ -3,22 +3,21 @@
 from __future__ import annotations
 
 import math
+import sys
 from fractions import Fraction
 
 import pytest
 
-from orbitdesign import (
-    MomentSet,
-    OrbitDesign,
-    OrbitDesignError,
-    Region,
-    design_moments,
+from orbitdesign import MomentSet, OrbitDesign, OrbitDesignError, Region
+from orbitdesign.moments import design_moments, orbit_moment
+from orbitdesign.orbits import (
+    MAX_ORBIT_POINTS,
     enumerate_orbit,
-    orbit_moment,
+    orbit_blocks,
     orbit_size,
     point_weight,
+    size_digits,
 )
-from orbitdesign.orbits import MAX_ORBIT_POINTS, orbit_blocks
 
 
 def pascal_binomial(n, k):
@@ -67,6 +66,23 @@ class TestOrbitSize:
             assert next(listing(64, 32))
             with pytest.raises(OrbitDesignError, match=f"at most {MAX_ORBIT_POINTS} points"):
                 next(listing(66, 33))
+
+
+    def test_size_digits_leaves_the_digit_limit_alone(self, monkeypatch):
+        def refuse(limit):
+            raise AssertionError("the int-to-str digit limit must not change")
+
+        monkeypatch.setattr(sys, "set_int_max_str_digits", refuse)
+        size = math.comb(14292, 7146)
+        digits = size_digits(size)
+        assert len(digits) == 4301 > sys.get_int_max_str_digits()
+        # Read back in chunks that each stay within the limit.
+        value = 0
+        for start in range(0, len(digits), 1000):
+            chunk = digits[start : start + 1000]
+            value = value * 10 ** len(chunk) + int(chunk)
+        assert value == size
+        assert size_digits(20) == "20" and size_digits(1) == "1"
 
 
 class TestEnumerateOrbit:
@@ -204,6 +220,23 @@ class TestOrbitDesign:
         d = OrbitDesign(4, {2: Fraction(1)})
         with pytest.raises(AttributeError):
             d.k_factors = 5
+
+    def test_equal_designs_hash_alike(self):
+        # The same weights, given by the half as Fractions and by every
+        # orbit as floats: equality and hashing read the weights, not how
+        # they were given.
+        half_weights = {0: Fraction(1, 8), 1: Fraction(1, 4), 3: Fraction(1, 4)}
+        half = OrbitDesign(6, half_weights, symmetric=True)
+        full = OrbitDesign(6, {0: 0.125, 6: 0.125, 1: 0.25, 5: 0.25, 3: 0.25})
+        assert half == full and full == half
+        assert hash(half) == hash(full)
+        assert len({half, full}) == 1
+        assert half != OrbitDesign(6, {0: 0.25, 6: 0.25, 3: 0.5})
+
+    def test_not_equal_to_other_types(self):
+        design = OrbitDesign(4, {2: Fraction(1)})
+        assert (design == 3) is False
+        assert design.__eq__(3) is NotImplemented
 
 
 class TestPointWeight:

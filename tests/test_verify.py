@@ -15,21 +15,22 @@ from orbitdesign import (
     OrbitDesign,
     OrbitDesignError,
     SingularDesignError,
-    assemble_general,
-    brute_force_info,
-    design_moments,
-    enumerate_orbit,
     full_factorial,
     kw_check,
     lemma2_design,
-    log_det_symmetric,
-    model_dims,
     narrow_design,
     regime,
-    sensitivity_poly,
     wide_design,
 )
-from orbitdesign.info_matrix import d_efficiency_from_log_det
+from orbitdesign.info_matrix import (
+    assemble_general,
+    d_efficiency_from_log_det,
+    log_det_symmetric,
+    model_dims,
+)
+from orbitdesign.moments import design_moments
+from orbitdesign.orbits import enumerate_orbit
+from orbitdesign.verify import brute_force_info, sensitivity_poly
 
 from conftest import (
     exact_identity,
