@@ -32,15 +32,7 @@ from contextlib import nullcontext
 from itertools import chain
 from typing import Iterator, Optional, Sequence
 
-from .construct import (
-    OptimalDesign,
-    admissible_ells,
-    narrow_design,
-    optimal_design,
-    regime,
-    threshold_b,
-    wide_design,
-)
+from .construct import OptimalDesign, admissible_ells, optimal_design, regime, threshold_b
 from .exceptions import (
     OrbitDesignError,
     SingularDesignError,
@@ -235,7 +227,7 @@ def _wide_rows(k_factors: int) -> list[str]:
             # ell == low happens only when low sits exactly at the threshold;
             # that is the two-orbit row, printed without an ell entry.
             two_orbit = ell == low
-            weight = wide_design(K, low, None if two_orbit else ell).design.weight
+            weight = optimal_design(K, low, ell=None if two_orbit else ell).design.weight
             rows.append(
                 f"{K} {low} {'-' if two_orbit else ell} {center} "
                 f"{_table_weight(weight(low))} "
@@ -250,17 +242,18 @@ def _narrow_rows(k_factors: int) -> list[str]:
 
     Lower bounds range over (K - sqrt(3K - 2))/2 < L < K/2; for odd K the
     value L with (K - 2L)^2 = 3K - 2 is excluded here (matching the
-    published listing) although narrow_design handles it.
+    published listing) although the package calls it narrow.
     """
     K, center = k_factors, k_factors // 2
     rows = []
     for low in range(center):
         if (K - 2 * low) ** 2 >= 3 * K - 2:
             continue
-        spec = narrow_design(K, low)
+        result = optimal_design(K, low)
+        weight = result.design.weight
         rows.append(
-            f"{K} {low} {center} {spec.w_star:.4f} "
-            f"{float(spec.design.weight(center)):.4f} {spec.d_efficiency:.4f} "
+            f"{K} {low} {center} {float(weight(low)):.4f} "
+            f"{float(weight(center)):.4f} {result.d_efficiency:.4f} "
             f"{threshold_b(K):.2f}"
         )
     return rows

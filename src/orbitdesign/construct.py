@@ -69,15 +69,6 @@ def threshold_b(k_factors: int) -> float:
     return (k_factors - math.sqrt(_threshold_discriminant(k_factors))) / 2
 
 
-def is_integer_threshold(k_factors: int) -> bool:
-    """Exact predicate: threshold_b(K) is an integer (K = 2, 3, 6, 22, 27, ...)."""
-    if k_factors < 2:
-        raise OrbitDesignError(f"need K >= 2, got {k_factors}")
-    disc = _threshold_discriminant(k_factors)
-    root = math.isqrt(disc)
-    return root * root == disc and (k_factors - root) % 2 == 0
-
-
 def regime(k_factors: int, lower: int) -> str:
     """Regime of the symmetric bounds [L, K-L].
 
@@ -128,12 +119,15 @@ def lemma2_design(k_factors: int) -> OrbitDesign:
     fourth moments vanish exactly.  For K <= 3 it is the full factorial.
     """
     K = k_factors
-    if not is_integer_threshold(K):
+    # The one integer that can equal B_K, and regime says whether it does;
+    # max(., 0) because K < 2 has a negative discriminant and regime refuses it.
+    lower = (K - math.isqrt(max(_threshold_discriminant(K), 0))) // 2
+    if regime(K, lower) not in ("threshold", "full-factorial"):
         raise OrbitDesignError(
             f"threshold_b({K}) = {threshold_b(K):.4f} is not an integer; "
             "no two/three-orbit identity design exists at the threshold"
         )
-    return wide_design(K, (K - math.isqrt(_threshold_discriminant(K))) // 2).design
+    return wide_design(K, lower).design
 
 
 def _check_identity_moments(design: OrbitDesign) -> None:
@@ -164,8 +158,7 @@ def wide_design(k_factors: int, lower: int, ell: Optional[int] = None) -> WideDe
     is the full factorial for K <= 3, where ell does not apply.
     """
     K = k_factors
-    if K < 2:
-        raise OrbitDesignError(f"need K >= 2, got {K}")
+    kind = regime(K, lower)
     if lower < 0:
         raise OrbitDesignError(f"lower bound must be nonnegative, got {lower}")
     if K <= 3:
@@ -179,7 +172,6 @@ def wide_design(k_factors: int, lower: int, ell: Optional[int] = None) -> WideDe
                 f"for K={K} the design is the full factorial; ell does not apply"
             )
 
-    kind = regime(K, lower)
     if kind == "narrow":
         raise WrongRegimeError(
             f"lower bound {lower} exceeds the threshold B_{K} = {threshold_b(K):.4f}; "

@@ -231,10 +231,6 @@ class OrbitDesign:
         """Sorted orbit indices carrying positive weight."""
         return tuple(sorted(self._numerators))
 
-    def symmetric_support(self) -> tuple[int, ...]:
-        """Sorted indices min(k, K-k) of the supported symmetric orbits."""
-        return tuple(sorted({min(k, self.k_factors - k) for k in self._numerators}))
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, OrbitDesign):
             return NotImplemented

@@ -664,6 +664,37 @@ def test_cli_imports_no_private_names():
     assert private == []
 
 
+def test_cli_names_no_regime_constructor():
+    # optimal_design dispatches on the regime; the front end never picks a side.
+    tree = ast.parse(Path(orbitdesign.cli.__file__).read_text(encoding="utf-8"))
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.alias):
+            names.add(node.asname or node.name)
+    assert names & {"wide_design", "narrow_design"} == set()
+
+
+def test_tables_build_every_row_through_optimal_design(capsys, monkeypatch):
+    original = orbitdesign.cli.optimal_design
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(orbitdesign.cli, "optimal_design", counting)
+    code, out, _ = run_cli(capsys, "tables", "--which", "both")
+    assert code == 0
+    headers = {"K L ell c w_L w_ell w_c B_K", "K L c w_L w_c efficiency B_K"}
+    rows = [line for line in out.splitlines() if line not in headers]
+    assert len(rows) == len(WIDE_ROWS) + len(NARROW_ROWS)
+    assert len(calls) == len(rows)
+
+
 def child_env():
     """Environment for a child interpreter that imports the package under test."""
     src = str(Path(orbitdesign.__file__).resolve().parents[1])

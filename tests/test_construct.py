@@ -28,7 +28,6 @@ from orbitdesign import (
 from orbitdesign.construct import (
     SEARCH_MAX_EVALUATIONS,
     admissible_ells,
-    is_integer_threshold,
     minimize_scalar,
 )
 from orbitdesign.info_matrix import log_det_symmetric
@@ -42,6 +41,13 @@ from reference_tables import NARROW_ROWS, WIDE_ROWS
 TABLE_TOL = 5e-5 + 1e-12
 
 
+def is_integer_threshold(k_factors):
+    """Oracle: B_K = (K - sqrt(disc)) / 2 is an integer, written out in integers."""
+    disc = 3 * k_factors - 2 if k_factors % 2 == 0 else 3 * k_factors
+    root = math.isqrt(disc)
+    return root * root == disc and (k_factors - root) % 2 == 0
+
+
 class TestThreshold:
     def test_reference_values(self):
         assert threshold_b(6) == 1.0
@@ -49,13 +55,29 @@ class TestThreshold:
         assert round(threshold_b(4), 2) == 0.42
 
     def test_integer_predicate(self):
-        assert [k for k in range(2, 40) if is_integer_threshold(k)] == [2, 3, 6, 22, 27, 34]
+        # Lemma 2 applies exactly where B_K is an integer; regime is the one
+        # threshold test, so lemma2_design and regime agree with it over K.
+        thresholds = []
+        for K in range(2, 10_001):
+            integer = is_integer_threshold(K)
+            root = math.isqrt(3 * K - 2 if K % 2 == 0 else 3 * K)
+            at_threshold = regime(K, (K - root) // 2) in ("threshold", "full-factorial")
+            try:
+                lemma2_design(K)
+            except OrbitDesignError:
+                built = False
+            else:
+                built = True
+            assert built == at_threshold == integer, K
+            if integer:
+                thresholds.append(K)
+        assert thresholds[:6] == [2, 3, 6, 22, 27, 34]
 
-    @pytest.mark.parametrize("k_factors", [-1, 0, 1])
+    @pytest.mark.parametrize("k_factors", [-3, -2, -1, 0, 1])
     def test_needs_two_factors(self, k_factors):
         calls = [
             threshold_b,
-            is_integer_threshold,
+            lemma2_design,
             lambda k: regime(k, 0),
             lambda k: wide_design(k, 0),
         ]
@@ -187,7 +209,7 @@ class TestWideDesign:
             k_factors, lower, ell = row[0], row[1], row[2]
             design = wide_design(k_factors, lower, ell).design
             assert all(lower <= k <= k_factors - lower for k in design.support())
-            assert len(design.symmetric_support()) <= 3
+            assert len({min(k, k_factors - k) for k in design.support()}) <= 3
 
     def test_default_ell_is_smallest_admissible(self):
         assert wide_design(9, 0).ell == 2
