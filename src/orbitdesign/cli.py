@@ -91,22 +91,13 @@ def _print_report(result: OptimalDesign) -> None:
     print(f"KW check: max(psi - p) = {kw.max_violation:.3e} (tol {kw.tol:.0e}) -> {verdict}")
 
 
-def _design_payload(design: OrbitDesign, lower: int, upper: int) -> dict:
-    return {
-        "k": design.k_factors,
-        "lower": lower,
-        "upper": upper,
-        "orbits": [
-            {"k": k, "weight": float(w)} for k, w in sorted(design.weights().items())
-        ],
-    }
-
-
 def _write_design_json(path: str, design: OrbitDesign, lower: int, upper: int) -> None:
     import json  # only design files need json; commands without one skip its import
 
+    orbits = [{"k": k, "weight": float(w)} for k, w in sorted(design.weights().items())]
+    payload = {"k": design.k_factors, "lower": lower, "upper": upper, "orbits": orbits}
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(_design_payload(design, lower, upper), fh, indent=2)
+        json.dump(payload, fh, indent=2)
         fh.write("\n")
 
 

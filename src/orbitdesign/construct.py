@@ -130,6 +130,29 @@ def lemma2_design(k_factors: int) -> OrbitDesign:
     return wide_design(K, lower).design
 
 
+def _symmetric_regime(k_factors: int, lower: int) -> str:
+    """regime(K, L) for wide_design and narrow_design, which refuse a bad
+    region by this one rule: K < 2 (regime), bounds outside 0 <= L <= K/2
+    (Region), and L = K // 2, a single symmetric orbit on which no design
+    estimates all parameters."""
+    K = k_factors
+    kind = regime(K, lower)
+    Region(K, lower, K - lower)
+    if lower == K // 2:
+        if K <= 3:
+            raise EstimabilityError(
+                f"for K={K} only the full factorial estimates all parameters; "
+                f"no design on [{lower}, {K - lower}] can"
+            )
+        # Even K: L = K/2 leaves one orbit; odd K: L = (K-1)/2 leaves the two
+        # central orbits, which form a single symmetric orbit.
+        raise EstimabilityError(
+            f"the region [{lower}, {K - lower}] holds a single symmetric orbit; "
+            "the information matrix is always singular there"
+        )
+    return kind
+
+
 def _check_identity_moments(design: OrbitDesign) -> None:
     m = design_moments(design)
     if not m.all_zero():
@@ -158,20 +181,9 @@ def wide_design(k_factors: int, lower: int, ell: Optional[int] = None) -> WideDe
     is the full factorial for K <= 3, where ell does not apply.
     """
     K = k_factors
-    kind = regime(K, lower)
-    if lower < 0:
-        raise OrbitDesignError(f"lower bound must be nonnegative, got {lower}")
-    if K <= 3:
-        if lower >= 1:
-            raise EstimabilityError(
-                f"for K={K} only the full factorial estimates all parameters; "
-                f"no design on [{lower}, {K - lower}] can"
-            )
-        if ell is not None:
-            raise OrbitDesignError(
-                f"for K={K} the design is the full factorial; ell does not apply"
-            )
-
+    kind = _symmetric_regime(K, lower)
+    if K <= 3 and ell is not None:
+        raise OrbitDesignError(f"for K={K} the design is the full factorial; ell does not apply")
     if kind == "narrow":
         raise WrongRegimeError(
             f"lower bound {lower} exceeds the threshold B_{K} = {threshold_b(K):.4f}; "
@@ -304,26 +316,13 @@ def narrow_design(k_factors: int, lower: int) -> NarrowDesignSpec:
     records the evaluations and the final residual.
     """
     K = k_factors
-    if K <= 3:
-        raise EstimabilityError(
-            f"for K={K} only the full factorial estimates all parameters"
-        )
-    center = K // 2
-    if lower > center:
-        raise OrbitDesignError(f"lower bound {lower} leaves an empty or invalid region")
-    if lower == center:
-        # Even K: L = K/2 leaves one orbit; odd K: L = (K-1)/2 leaves the two
-        # central orbits, which form a single symmetric orbit.
-        raise EstimabilityError(
-            f"the region [{lower}, {K - lower}] holds a single symmetric orbit; "
-            "the information matrix is always singular there"
-        )
-    if regime(K, lower) != "narrow":
+    if _symmetric_regime(K, lower) != "narrow":
         raise WrongRegimeError(
             f"lower bound {lower} is at or below the threshold B_{K} = "
             f"{threshold_b(K):.4f}; use wide_design"
         )
 
+    center = K // 2
     # m2 and m4 are affine in w, m_j(w) = m_j(center) + w * slope_j exactly,
     # so each block determinant of M(w) is an integer polynomial in w.
     m2_0, m4_0 = orbit_moment(K, center, 2), orbit_moment(K, center, 4)
@@ -416,9 +415,9 @@ def optimal_design(
     """
     K = k_factors
     upper = K - lower if upper is None else upper
-    region = Region(K, lower, upper)
     effective = max(lower, K - upper)
     kind = regime(K, effective)
+    region = Region(K, lower, upper)
     if kind != "narrow":
         design = wide_design(K, effective, ell).design
         report = kw_check(design, lower, upper, tol)

@@ -317,6 +317,6 @@ def assemble_inverse(k_factors: int, m: MomentSet) -> np.ndarray:
     return np.linalg.inv(assemble_general(k_factors, m.as_floats()).dense)
 
 
-def info_matrix_of(design: OrbitDesign, *, exact: bool = False) -> InfoMatrix:
+def info_matrix_of(design: OrbitDesign) -> InfoMatrix:
     """Convenience: moments then dense assembly for an invariant design (needs numpy)."""
-    return assemble_general(design.k_factors, design_moments(design), exact=exact)
+    return assemble_general(design.k_factors, design_moments(design))

@@ -243,10 +243,3 @@ class OrbitDesign:
         kind = "symmetric" if self.symmetric else "general"
         entries = ", ".join(f"{k}: {w}" for k, w in sorted(self.weights().items()))
         return f"OrbitDesign(K={self.k_factors}, {kind}, {{{entries}}})"
-
-
-def point_weight(design: OrbitDesign, k: int) -> Weight:
-    """Weight of each individual point of orbit k: orbit weight / C(K, k)."""
-    size = orbit_size(design.k_factors, k)
-    w = design.weight(k)
-    return weight_per_point(w, size) if w else 0

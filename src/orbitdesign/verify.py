@@ -71,11 +71,6 @@ class SensitivityPoly(NamedTuple):
     numerators: tuple[int, ...]
     denominator: int
 
-    a0, a1, a2, a3, a4 = (
-        property(lambda self, i=i: Fraction(self.numerators[i], self.denominator))
-        for i in range(5)
-    )
-
     def value(self, k: int) -> Fraction:
         """psi_tilde(k) for orbit index k."""
         c0, c1, c2, c3, c4 = self.numerators

@@ -80,6 +80,8 @@ class TestThreshold:
             lemma2_design,
             lambda k: regime(k, 0),
             lambda k: wide_design(k, 0),
+            lambda k: narrow_design(k, 0),
+            lambda k: optimal_design(k, 0),
         ]
         for call in calls:
             with pytest.raises(OrbitDesignError, match=f"need K >= 2, got {k_factors}$"):
@@ -239,7 +241,8 @@ class TestWideDesign:
             wide_design(2, 1)
 
     def test_negative_lower_rejected(self):
-        with pytest.raises(OrbitDesignError, match="lower bound must be nonnegative, got -1$"):
+        message = "need 0 <= lower <= upper <= 12, got lower=-1, upper=13$"
+        with pytest.raises(OrbitDesignError, match=message):
             wide_design(12, -1)
 
     def test_narrow_lower_rejected(self):
@@ -280,7 +283,7 @@ class TestIdentityDesignsFrozen:
                     else:
                         lines.append(f"{K} {L} {ell} {s.ell} {s.alpha} {s.design!r}")
         assert len(lines) == 10378
-        assert digest(lines) == "0e6b4e2bfde7790f"
+        assert digest(lines) == "7d9b61a8da0a2d45"
 
     def test_lemma2_digest(self):
         lines = []
@@ -472,13 +475,44 @@ class TestRegime:
             assert list(admissible_ells(K)) == scan, K
 
     def test_wide_design_beyond_centre_rejected(self):
-        # The L = 1 design is supported on {1, 3, 5}, outside [5, 6].
-        with pytest.raises(WrongRegimeError):
+        # L = 5 > K/2 leaves [5, 1], which is no region.
+        message = "need 0 <= lower <= upper <= 6, got lower=5, upper=1$"
+        with pytest.raises(OrbitDesignError, match=message):
             wide_design(6, 5)
 
     def test_ell_rejected_for_full_factorial(self):
         with pytest.raises(OrbitDesignError, match="ell does not apply"):
             wide_design(3, 0, 1)
+
+
+def _outcome(construct, k_factors, lower):
+    try:
+        construct(k_factors, lower)
+    except OrbitDesignError as e:
+        return e
+    return None
+
+
+class TestSymmetricGate:
+    def test_constructors_agree(self):
+        # A redirect names a constructor that succeeds, a region one of them
+        # builds is not refused by the other but redirected, and any other
+        # refusal is the same error from both.
+        violations = []
+        for K in range(-1, 41):
+            for L in range(-2, K + 3):
+                wide, narrow = _outcome(wide_design, K, L), _outcome(narrow_design, K, L)
+                if isinstance(wide, WrongRegimeError):
+                    agree = narrow is None
+                elif isinstance(narrow, WrongRegimeError):
+                    agree = wide is None
+                else:
+                    agree = None not in (wide, narrow) and (
+                        (type(wide), str(wide)) == (type(narrow), str(narrow))
+                    )
+                if not agree:
+                    violations.append((K, L, repr(wide), repr(narrow)))
+        assert violations == []
 
 
 def _check_region(k_factors, lower, upper):

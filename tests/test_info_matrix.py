@@ -22,6 +22,7 @@ from orbitdesign.info_matrix import (
     assemble_inverse,
     build_s_matrix,
     determinant_polynomials,
+    info_matrix_of,
     information_blocks,
     inverse_coefficients,
     log_det_symmetric,
@@ -178,6 +179,25 @@ class TestAssembleGeneral:
         structured = assemble_general(5, design_moments(d), exact=True)
         enumerated = brute_force_info(d, exact=True)
         assert (structured.dense == enumerated.dense).all()
+
+
+class TestInfoMatrixOf:
+    DESIGNS = [
+        symmetric_design(8, {1: Fraction(1, 4), 3: Fraction(1, 4), 4: Fraction(1, 2)}),
+        OrbitDesign(7, {0: 0.125, 2: 0.375, 5: 0.5}),
+    ]
+
+    @pytest.mark.parametrize("design", DESIGNS, ids=["symmetric", "asymmetric"])
+    def test_is_the_dense_assembly_of_the_moments(self, design):
+        info = info_matrix_of(design)
+        expected = assemble_general(design.k_factors, design_moments(design))
+        assert info.dims == expected.dims and info.moments == expected.moments
+        assert np.array_equal(info.dense, expected.dense)
+
+    @pytest.mark.parametrize("design", DESIGNS, ids=["symmetric", "asymmetric"])
+    def test_matches_enumeration(self, design):
+        enumerated = brute_force_info(design).dense
+        assert np.abs(info_matrix_of(design).dense - enumerated).max() <= 1e-12
 
 
 class TestBlockEigenvalues:

@@ -15,8 +15,8 @@ from orbitdesign.orbits import (
     enumerate_orbit,
     orbit_blocks,
     orbit_size,
-    point_weight,
     size_digits,
+    weight_per_point,
 )
 
 
@@ -244,13 +244,13 @@ class TestPointWeight:
         # Optimal narrow design for K=6 on [2, 4]: w* = (45 - 6 sqrt(37)) / 22.
         w = (45 - 6 * 37**0.5) / 22
         d = OrbitDesign(6, {2: w, 3: 1 - 2 * w}, symmetric=True)
-        assert round(point_weight(d, 2), 4) == 0.0258
-        assert round(point_weight(d, 3), 4) == 0.0113
-        assert round(point_weight(d, 4), 4) == 0.0258
+        assert round(weight_per_point(d.weight(2), orbit_size(6, 2)), 4) == 0.0258
+        assert round(weight_per_point(d.weight(3), orbit_size(6, 3)), 4) == 0.0113
+        assert round(weight_per_point(d.weight(4), orbit_size(6, 4)), 4) == 0.0258
 
     def test_unsupported_orbit_is_zero(self):
         d = OrbitDesign(6, {2: 0.3865, 3: 0.2270}, symmetric=True)
-        assert point_weight(d, 0) == 0
+        assert weight_per_point(d.weight(0), orbit_size(6, 0)) == 0
 
     def test_point_weights_recombine_to_one(self):
         designs = [
@@ -260,12 +260,15 @@ class TestPointWeight:
         ]
         for d in designs:
             total = sum(
-                point_weight(d, k) * orbit_size(d.k_factors, k) for k in d.support()
+                weight_per_point(d.weight(k), orbit_size(d.k_factors, k))
+                * orbit_size(d.k_factors, k)
+                for k in d.support()
             )
             assert abs(total - 1) <= 1e-12
 
     def test_orbit_beyond_float_range_divides_exactly(self):
         # C(1030, 515) exceeds the float range, so float / size would overflow.
         d = OrbitDesign(1030, {0: 0.5, 515: 0.5})
-        assert point_weight(d, 515) == float(Fraction(1, 2 * math.comb(1030, 515))) > 0
-        assert point_weight(d, 0) == 0.5
+        exact = float(Fraction(1, 2 * math.comb(1030, 515)))
+        assert weight_per_point(d.weight(515), orbit_size(1030, 515)) == exact > 0
+        assert weight_per_point(d.weight(0), orbit_size(1030, 0)) == 0.5
