@@ -48,7 +48,7 @@ from .exceptions import (
 )
 from .info_matrix import d_efficiency_from_log_det, determinant_polynomials, log_det_symmetric
 from .moments import MomentSet, design_moments, orbit_moment
-from .orbits import OrbitDesign, Region, orbit_size
+from .orbits import OrbitDesign, Region, check_factor_count, orbit_size
 from .verify import KwReport, kw_check
 
 # The narrow search stops on a step shorter than this; exact signs at
@@ -64,8 +64,7 @@ def _threshold_discriminant(k_factors: int) -> int:
 
 def threshold_b(k_factors: int) -> float:
     """Largest lower bound L at which fully efficient designs still exist."""
-    if k_factors < 2:
-        raise OrbitDesignError(f"need K >= 2, got {k_factors}")
+    check_factor_count(k_factors)
     return (k_factors - math.sqrt(_threshold_discriminant(k_factors))) / 2
 
 
@@ -75,8 +74,7 @@ def regime(k_factors: int, lower: int) -> str:
     "narrow" when L > B_K, which includes every L >= K/2; otherwise
     "full-factorial" for K <= 3, "threshold" when L = B_K and "wide" below.
     """
-    if k_factors < 2:
-        raise OrbitDesignError(f"need K >= 2, got {k_factors}")
+    check_factor_count(k_factors)
     t = k_factors - 2 * lower
     disc = _threshold_discriminant(k_factors)
     if t <= 0 or t * t < disc:
@@ -101,12 +99,8 @@ def admissible_ells(k_factors: int) -> range:
 
 def full_factorial(k_factors: int) -> OrbitDesign:
     """Uniform weight 2^-K per point, i.e. orbit weights C(K, k) / 2^K."""
-    denom = 2**k_factors
-    half = {
-        k: Fraction(orbit_size(k_factors, k), denom)
-        for k in range(k_factors // 2 + 1)
-    }
-    return OrbitDesign(k_factors, half, symmetric=True)
+    half = {k: orbit_size(k_factors, k) for k in range(k_factors // 2 + 1)}
+    return OrbitDesign._from_numerators(k_factors, half, 2**k_factors, symmetric=True)
 
 
 def lemma2_design(k_factors: int) -> OrbitDesign:
@@ -208,12 +202,14 @@ def wide_design(k_factors: int, lower: int, ell: Optional[int] = None) -> WideDe
     # L and ell components in proportion alpha = (disc - t_ell^2) / (t_L^2 - t_ell^2)
     # does; t_ell^2 <= disc (ell admissible) and t_L^2 >= disc (L not narrow)
     # put alpha in [0, 1], and over q = 2 s_L s_ell (t_L^2 - t_ell^2) the
-    # weights alpha w_L and (1 - alpha) w_ell are integers.
+    # weights alpha w_L and (1 - alpha) w_ell are integers n_L and n_ell.
+    # The design takes them over q (1 + K mod 2), so that the rest, split
+    # over the two central orbits for odd K, is an integer too; it builds
+    # its Fraction weights only when they are read.
     odd = K % 2
     s_low = (K - 2 * lower) ** 2 - odd
     if ell is None:
         alpha, q, n_low, n_ell = Fraction(1), 2 * s_low, K - odd, 0
-        weights = {lower: Fraction(n_low, q)}
     else:
         s_ell = (K - 2 * ell) ** 2 - odd
         # disc - t_ell^2 and t_L^2 - t_ell^2
@@ -221,10 +217,12 @@ def wide_design(k_factors: int, lower: int, ell: Optional[int] = None) -> WideDe
         alpha, q = Fraction(numer, span), 2 * s_low * s_ell * span
         n_low = (K - odd) * numer * s_ell
         n_ell = (K - odd) * (span - numer) * s_low
-        weights = {lower: Fraction(n_low, q), ell: Fraction(n_ell, q)}
-    # The rest goes to the central orbit, split over its two halves for odd K.
-    weights[K // 2] = Fraction(q - 2 * (n_low + n_ell), q * (1 + odd))
-    design = OrbitDesign(K, weights, symmetric=True)
+    halves = 1 + odd
+    numerators = {lower: n_low * halves}
+    if ell is not None:
+        numerators[ell] = n_ell * halves
+    numerators[K // 2] = q - 2 * (n_low + n_ell)
+    design = OrbitDesign._from_numerators(K, numerators, q * halves, symmetric=True)
     _check_identity_moments(design)
     return WideDesignSpec(K, lower, ell, alpha, design)
 

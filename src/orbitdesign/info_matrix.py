@@ -46,9 +46,9 @@ from itertools import chain, combinations
 from operator import index, mul
 from typing import TYPE_CHECKING, NamedTuple, Union
 
-from .exceptions import OrbitDesignError, SingularDesignError
+from .exceptions import SingularDesignError
 from .moments import MomentSet, design_moments
-from .orbits import OrbitDesign
+from .orbits import OrbitDesign, check_factor_count
 
 if TYPE_CHECKING:
     import numpy as np
@@ -67,8 +67,7 @@ class ModelDims(NamedTuple):
 @cache
 def model_dims(k_factors: int) -> ModelDims:
     """The counts for K factors, built once per K (as Python ints)."""
-    if k_factors < 2:
-        raise OrbitDesignError(f"the interaction model needs K >= 2, got {k_factors}")
+    check_factor_count(k_factors)
     K = index(k_factors)
     n_inter = math.comb(K, 2)
     return ModelDims(K, 1 + K + n_inter, n_inter)

@@ -6,7 +6,11 @@ the K factors partitions the cube into the K+1 orbits O_0, ..., O_K, and a
 permutation-invariant design is fully described by one weight per orbit.
 Under the additional sign-flip symmetry, orbits k and K-k are identified
 (symmetric orbits), and symmetric designs carry equal weight on both.
-``OrbitDesign`` holds its weights as integers over one denominator.
+``OrbitDesign`` holds its weights as integers over one scale.  Its
+constructor reads a mapping of weights into them; the exact constructors
+hand over the integers directly (``OrbitDesign._from_numerators``), and such
+a design builds its ``Fraction`` weights only when they are first read.
+Every design, region and model needs K >= 2 (``check_factor_count``).
 
 Scalar quantities of an orbit -- its size, moments and weights -- exist for
 any K.  Listing its points costs C(K, k), so one rule bounds every listing:
@@ -27,7 +31,7 @@ from decimal import Decimal
 from fractions import Fraction
 from functools import cache
 from itertools import combinations, product
-from typing import Iterator, Mapping, Union
+from typing import Iterator, Mapping, Optional, Union
 
 from .exceptions import OrbitDesignError
 
@@ -45,6 +49,13 @@ _TOL_NUMERATOR, _TOL_DENOMINATOR = WEIGHT_SUM_TOL.as_integer_ratio()
 # orbit_blocks splits a point into a prefix and its last SUFFIX_LENGTH
 # coordinates, so a block holds at most C(10, 5) = 252 points.
 SUFFIX_LENGTH = 10
+
+
+def check_factor_count(k_factors: int) -> None:
+    """The one K policy: the model has an interaction per pair of factors,
+    so every model, region and design needs K >= 2."""
+    if k_factors < 2:
+        raise OrbitDesignError(f"need K >= 2, got {k_factors}")
 
 
 def orbit_size(k_factors: int, k: int) -> int:
@@ -140,8 +151,7 @@ class Region(namedtuple("Region", "k_factors lower upper")):
     __slots__ = ()
 
     def __new__(cls, k_factors: int, lower: int, upper: int) -> "Region":
-        if k_factors < 1:
-            raise OrbitDesignError(f"factor count must be positive, got {k_factors}")
+        check_factor_count(k_factors)
         if not 0 <= lower <= upper <= k_factors:
             raise OrbitDesignError(
                 f"need 0 <= lower <= upper <= {k_factors}, "
@@ -159,19 +169,23 @@ class OrbitDesign:
 
     Weights are per orbit (the weight of an individual point is the orbit
     weight divided by the orbit size).  A symmetric design -- equal weight on
-    orbits k and K-k -- is given by its half k <= K//2, and the constructor
+    orbits k and K-k -- is given by its half k <= K//2, and the design
     writes each of its weights to both orbits.
 
-    The constructor reads the weights once, as integers over one denominator:
-    each weight is the rational w.as_integer_ratio() gives (a float is the
-    binary rational it is), and over the lcm of their denominators they are
-    integers n_k, mirror orbits included.  Negativity, the dropping of zero
-    weights and the sum rule are checked on those integers, and
-    design_moments takes its power sums from them.  The design keeps the
-    moments design_moments gives.
+    A design holds its weights as integers n_k over one scale, mirror orbits
+    included; design_moments takes its power sums from them, and the design
+    keeps the moments it gives.  The constructor reads each weight once with
+    w.as_integer_ratio() (a float is the binary rational it is) and puts
+    them over the lcm of their denominators; the exact constructors of
+    construct hand over integer numerators and their scale instead
+    (_from_numerators).  Both entries end in _store, which checks the factor
+    count, the orbit indices, negativity and the sum rule on the integers
+    and drops zero weights.  weight() and weights() return the weights as
+    given to the constructor, or, for a design built from numerators,
+    Fraction(n_k, scale), built on the first read and kept.
     """
 
-    __slots__ = ("k_factors", "symmetric", "_weights", "_numerators", "_moments")
+    __slots__ = ("k_factors", "symmetric", "_numerators", "_scale", "_weights", "_moments")
 
     def __init__(
         self,
@@ -180,37 +194,64 @@ class OrbitDesign:
         *,
         symmetric: bool = False,
     ) -> None:
-        if k_factors < 1:
-            raise OrbitDesignError(f"factor count must be positive, got {k_factors}")
-        top = k_factors // 2 if symmetric else k_factors
-        stored: dict[int, Weight] = {}
         ratios: dict[int, tuple[int, int]] = {}
         for k, w in weights.items():
+            try:
+                ratios[k] = w.as_integer_ratio()
+            except AttributeError:  # numpy integers
+                ratios[k] = operator.index(w), 1
+            except (ValueError, OverflowError):
+                raise OrbitDesignError(f"orbit weight must be finite, got {w} at k={k}") from None
+        scale = math.lcm(*{d for _, d in ratios.values()})
+        numerators = {k: n * (scale // d) for k, (n, d) in ratios.items()}
+        self._store(k_factors, numerators, scale, symmetric, weights)
+
+    @classmethod
+    def _from_numerators(
+        cls, k_factors: int, numerators: Mapping[int, int], scale: int, *, symmetric: bool = False
+    ) -> "OrbitDesign":
+        """The design with weights numerators[k] / scale, checked as the
+        constructor checks its own; its Fraction weights wait for a read."""
+        design = object.__new__(cls)
+        design._store(k_factors, numerators, scale, symmetric, None)
+        return design
+
+    def _store(
+        self,
+        k_factors: int,
+        numerators: Mapping[int, int],
+        scale: int,
+        symmetric: bool,
+        given: Optional[Mapping[int, Weight]],
+    ) -> None:
+        """Check and keep integer weights over scale, keyed like the weights
+        given (the half of a symmetric design); given, if any, is what
+        weight() reads back."""
+        check_factor_count(k_factors)
+        top = k_factors // 2 if symmetric else k_factors
+        stored: dict[int, int] = {}
+        for k, n in numerators.items():
             if not 0 <= k <= top:
                 if not 0 <= k <= k_factors:
                     raise OrbitDesignError(f"orbit index must be in 0..{k_factors}, got {k}")
                 raise OrbitDesignError(f"symmetric designs store orbits k <= {top} only, got {k}")
-            try:
-                n, d = w.as_integer_ratio()
-            except AttributeError:  # numpy integers
-                n, d = operator.index(w), 1
-            except (ValueError, OverflowError):
-                raise OrbitDesignError(f"orbit weight must be finite, got {w} at k={k}") from None
             if n < 0:
+                w = Fraction(n, scale) if given is None else given[k]
                 raise OrbitDesignError(f"orbit weight must be nonnegative, got {w} at k={k}")
             if n:
                 for j in (k, k_factors - k) if symmetric else (k,):
-                    stored[j], ratios[j] = w, (n, d)
-        scale = math.lcm(*{d for _, d in ratios.values()})
-        numerators = {k: n * (scale // d) for k, (n, d) in ratios.items()}
+                    stored[j] = n
         object.__setattr__(self, "k_factors", k_factors)
         object.__setattr__(self, "symmetric", symmetric)
-        object.__setattr__(self, "_weights", stored)
-        object.__setattr__(self, "_numerators", numerators)
+        object.__setattr__(self, "_numerators", stored)
+        object.__setattr__(self, "_scale", scale)
+        if given is not None:  # the weights as given, mirror orbits included
+            given = {j: given[min(j, k_factors - j) if symmetric else j] for j in stored}
+        object.__setattr__(self, "_weights", given)
         object.__setattr__(self, "_moments", None)
         # |total / scale - 1| > WEIGHT_SUM_TOL, cross-multiplied: exact, and
         # no quotient of huge integers has to fit a float.
-        total = sum(numerators.values())
+        total = sum(stored.values())
         if abs(total - scale) * _TOL_DENOMINATOR > _TOL_NUMERATOR * scale:
             raise OrbitDesignError(
                 f"orbit weights must sum to 1, got {sum(self.weights().values())}"
@@ -219,13 +260,20 @@ class OrbitDesign:
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("OrbitDesign is immutable")
 
+    def _weight_map(self) -> dict[int, Weight]:
+        if self._weights is None:
+            scale = self._scale
+            weights = {k: Fraction(n, scale) for k, n in self._numerators.items()}
+            object.__setattr__(self, "_weights", weights)
+        return self._weights
+
     def weight(self, k: int) -> Weight:
         """Weight of orbit k; 0 for unsupported orbits."""
-        return self._weights.get(k, 0)
+        return self._weight_map().get(k, 0)
 
     def weights(self) -> dict[int, Weight]:
         """Orbit-weight map, mirror orbits included (a copy)."""
-        return dict(self._weights)
+        return dict(self._weight_map())
 
     def support(self) -> tuple[int, ...]:
         """Sorted orbit indices carrying positive weight."""

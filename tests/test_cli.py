@@ -633,6 +633,30 @@ def test_malformed_design_file_rejected(capsys, tmp_path, command, payload, mess
     assert err == f"error: {message}\n"
 
 
+@pytest.mark.parametrize("command", ["verify", "expand"])
+@pytest.mark.parametrize(
+    "payload",
+    [
+        {"k": 0, "lower": 0, "upper": 0, "orbits": [{"k": 0, "weight": 1}]},
+        {
+            "k": 1,
+            "lower": 0,
+            "upper": 1,
+            "orbits": [{"k": 0, "weight": 0.5}, {"k": 1, "weight": 0.5}],
+        },
+    ],
+    ids=["k0", "k1"],
+)
+def test_design_file_with_fewer_than_two_factors_rejected(capsys, tmp_path, command, payload):
+    # The one K policy: the same refusal as optimal/expand --k, before any
+    # point is listed.
+    path = write_design(tmp_path / "d.json", payload)
+    code, out, err = run_cli(capsys, command, path)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: need K >= 2, got {payload['k']}\n"
+
+
 @pytest.mark.parametrize(
     "argv",
     [

@@ -82,6 +82,7 @@ class TestThreshold:
             lambda k: wide_design(k, 0),
             lambda k: narrow_design(k, 0),
             lambda k: optimal_design(k, 0),
+            full_factorial,
         ]
         for call in calls:
             with pytest.raises(OrbitDesignError, match=f"need K >= 2, got {k_factors}$"):
@@ -309,6 +310,90 @@ class TestIdentityDesignsFrozen:
                 lower: w_outer, K - lower: w_outer, K // 2: centre, (K + 1) // 2: centre
             }, K
             assert lemma2_design(K) == spec.design
+
+
+def fraction_twin(design):
+    """The design the public constructor builds from the same weights,
+    given by their half as Fractions; read from the integers alone, so the
+    design's own Fraction weights stay unbuilt."""
+    K, scale = design.k_factors, design._scale
+    half = {k: Fraction(n, scale) for k, n in design._numerators.items() if k <= K // 2}
+    return OrbitDesign(K, half, symmetric=True)
+
+
+def assert_entries_agree(design):
+    """An integer-built design against its Fraction-built twin, on every
+    read; its weights are built on the first read, and it stays immutable."""
+    assert design._weights is None
+    assert sum(design._numerators.values()) == design._scale
+    twin = fraction_twin(design)
+    K = design.k_factors
+    assert design_moments(design) == design_moments(twin)
+    assert design.support() == twin.support()
+    assert design._weights is None
+    assert repr(design) == repr(twin)
+    weights = design.weights()
+    assert list(weights.items()) == list(twin.weights().items())
+    assert all(type(w) is Fraction for w in weights.values())
+    for k in range(K + 1):
+        assert design.weight(k) == twin.weight(k)
+        assert type(design.weight(k)) is type(twin.weight(k))
+    assert hash(design) == hash(twin)
+    assert design == twin and twin == design
+    weights[design.support()[0]] = Fraction(2)
+    weights.clear()
+    assert design.weights() == twin.weights()
+    with pytest.raises(AttributeError):
+        design.k_factors = K + 1
+    with pytest.raises(AttributeError):
+        design._weights = {}
+    assert design.k_factors == K and design.weights() == twin.weights()
+
+
+class TestIntegerEntry:
+    """wide_design and full_factorial hand OrbitDesign integer numerators;
+    their designs equal the ones built from Fraction weights."""
+
+    def test_wide_designs_every_ell(self):
+        count = 0
+        for K in range(2, 101):
+            for lower in range(K // 2):
+                if regime(K, lower) == "narrow":
+                    continue
+                ells = [e for e in admissible_ells(K) if e > lower]
+                for ell in (None, *ells):
+                    assert_entries_agree(wide_design(K, lower, ell).design)
+                    count += 1
+        assert count == 8073
+
+    def test_lemma2_and_optimal_designs(self):
+        for K in (2, 3, 6, 22, 27):
+            assert_entries_agree(lemma2_design(K))
+            assert_entries_agree(optimal_design(K, 0).design)
+
+    def test_full_factorial(self):
+        for K in range(2, 31):
+            assert_entries_agree(full_factorial(K))
+
+    def test_large_k(self):
+        assert_entries_agree(wide_design(14292, 7000).design)
+
+    def test_refusals_match_the_constructor(self):
+        # Both entries end in one check: the same refusal, word for word.
+        cases = [
+            (1, {0: 1, 1: 1}, 2),
+            (6, {7: 1}, 1),
+            (6, {2: -1, 3: 11}, 10),
+            (6, {2: 1, 3: 2}, 2),
+        ]
+        for K, numerators, scale in cases:
+            with pytest.raises(OrbitDesignError) as from_numerators:
+                OrbitDesign._from_numerators(K, numerators, scale)
+            with pytest.raises(OrbitDesignError) as from_weights:
+                OrbitDesign(K, {k: Fraction(n, scale) for k, n in numerators.items()})
+            assert str(from_numerators.value) == str(from_weights.value)
+        with pytest.raises(OrbitDesignError, match="symmetric designs store orbits k <= 3 only"):
+            OrbitDesign._from_numerators(6, {4: 1}, 2, symmetric=True)
 
 
 class TestNarrowDesign:

@@ -407,11 +407,11 @@ class TestTooFewFactors:
             lambda: sensitivity_poly(k_factors, ZERO_MOMENTS),
         ]
         for call in calls:
-            with pytest.raises(OrbitDesignError, match=f"needs K >= 2, got {k_factors}$"):
+            with pytest.raises(OrbitDesignError, match=f"need K >= 2, got {k_factors}$"):
                 call()
 
     def test_regularity(self):
-        with pytest.raises(OrbitDesignError, match="needs K >= 2, got 1$"):
+        with pytest.raises(OrbitDesignError, match="need K >= 2, got 1$"):
             regularity(OrbitDesign(1, {0: 0.5, 1: 0.5}))
 
 

@@ -145,7 +145,7 @@ class TestRegion:
             Region(6, -1, 4)
         with pytest.raises(OrbitDesignError):
             Region(6, 0, 7)
-        with pytest.raises(OrbitDesignError, match="factor count must be positive, got 0$"):
+        with pytest.raises(OrbitDesignError, match="need K >= 2, got 0$"):
             Region(0, 0, 0)
 
 
@@ -165,7 +165,7 @@ class TestOrbitDesign:
             OrbitDesign(6, {7: 1}, symmetric=True)
 
     def test_needs_a_factor(self):
-        with pytest.raises(OrbitDesignError, match="factor count must be positive, got 0$"):
+        with pytest.raises(OrbitDesignError, match="need K >= 2, got 0$"):
             OrbitDesign(0, {0: 1})
 
     def test_weight_sum_enforced(self):
