@@ -13,6 +13,12 @@ Design file format (JSON, orbit weights, not point weights):
   {"k": 6, "lower": 2, "upper": 4,
    "orbits": [{"k": 2, "weight": 0.3865}, ...]}
 
+A weight is a JSON number or a string "n/d", the exact rational n/d (any
+string that fractions.Fraction reads, such as "0.15", is taken exactly).
+optimal --json writes the weights of an exact design (wide, threshold,
+full factorial) as such strings, so that verify of its file repeats the
+exact certificate, and every other weight as a number.
+
 K policy: optimal and verify work on orbit weights and moments, and take
 any K >= 2.  expand lists points, and refuses a design with an orbit of
 more than C(64, 32) points before it writes anything.
@@ -29,8 +35,9 @@ import math
 import os
 import sys
 from contextlib import nullcontext
+from fractions import Fraction
 from itertools import chain
-from typing import Iterator, Optional, Sequence
+from typing import Iterator, Optional, Sequence, Union
 
 from .construct import OptimalDesign, admissible_ells, optimal_design, regime, threshold_b
 from .exceptions import (
@@ -91,10 +98,18 @@ def _print_report(result: OptimalDesign) -> None:
     print(f"KW check: max(psi - p) = {kw.max_violation:.3e} (tol {kw.tol:.0e}) -> {verdict}")
 
 
+def _json_weight(weight: Weight) -> Union[str, float]:
+    """A weight as a design file holds it: a Fraction as the string "n/d",
+    which a float would round, and any other weight as a number."""
+    if isinstance(weight, Fraction):
+        return f"{weight.numerator}/{weight.denominator}"
+    return float(weight)
+
+
 def _write_design_json(path: str, design: OrbitDesign, lower: int, upper: int) -> None:
     import json  # only design files need json; commands without one skip its import
 
-    orbits = [{"k": k, "weight": float(w)} for k, w in sorted(design.weights().items())]
+    orbits = [{"k": k, "weight": _json_weight(w)} for k, w in sorted(design.weights().items())]
     payload = {"k": design.k_factors, "lower": lower, "upper": upper, "orbits": orbits}
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(payload, fh, indent=2)
@@ -114,8 +129,10 @@ def _load_design_file(path: str):
 
     Unknown keys are rejected, weights must be finite, nonnegative and sum
     to 1 within 1e-9 (then renormalized), and every orbit must lie inside
-    the declared region.  Any invariant design is accepted, sign-symmetric
-    or not; verify and expand load the same design.
+    the declared region.  A JSON number is read as a float and a string as
+    a Fraction; weights that are all strings stay exact.  Any invariant
+    design is accepted, sign-symmetric or not; verify and expand load the
+    same design.
     """
     import json  # only design files need json; commands without one skip its import
 
@@ -146,7 +163,7 @@ def _load_design_file(path: str):
 
     if not isinstance(raw["orbits"], list) or not raw["orbits"]:
         raise OrbitDesignError("design file: orbits must be a nonempty list")
-    weights: dict[int, float] = {}
+    weights: dict[int, Weight] = {}
     for entry in raw["orbits"]:
         if not isinstance(entry, dict) or set(entry) != {"k", "weight"}:
             raise OrbitDesignError(
@@ -156,7 +173,12 @@ def _load_design_file(path: str):
         if not isinstance(k, int) or isinstance(k, bool):
             raise OrbitDesignError("design file: orbit index must be an integer")
         try:
-            weight = float(w) if type(w) in (int, float) else math.nan
+            if type(w) is str:
+                weight = Fraction(w)
+            else:
+                weight = float(w) if type(w) in (int, float) else math.nan
+        except (ValueError, ZeroDivisionError):  # a string that is no rational
+            weight = math.nan
         except OverflowError:  # an integer literal beyond the float range
             weight = math.inf
         if not 0 <= weight < math.inf:
@@ -171,7 +193,8 @@ def _load_design_file(path: str):
 
     total = sum(weights.values())
     if abs(total - 1) > 1e-9:
-        raise OrbitDesignError(f"design file: orbit weights sum to {total:.12g}, not 1")
+        shown = float(total) if total <= sys.float_info.max else math.inf
+        raise OrbitDesignError(f"design file: orbit weights sum to {shown:.12g}, not 1")
     weights = {k: w / total for k, w in weights.items()}
     return OrbitDesign(k_factors, weights), k_factors, lower, upper
 

@@ -46,7 +46,12 @@ from .exceptions import (
     UnsupportedRegionError,
     WrongRegimeError,
 )
-from .info_matrix import d_efficiency_from_log_det, determinant_polynomials, log_det_symmetric
+from .info_matrix import (
+    common_scale,
+    d_efficiency_from_log_det,
+    determinant_polynomials,
+    log_det_symmetric,
+)
 from .moments import MomentSet, design_moments, orbit_moment
 from .orbits import OrbitDesign, Region, check_factor_count, orbit_size
 from .verify import KwReport, kw_check
@@ -312,6 +317,12 @@ def narrow_design(k_factors: int, lower: int) -> NarrowDesignSpec:
     nearest the exact optimum, whatever path the search took.  The returned
     design is certified once by the equivalence-theorem check; the spec also
     records the evaluations and the final residual.
+
+    It reads its four orbit moments once and puts them over their lcm D, so
+    determinant_polynomials takes the pencil M(w) as integers over D and
+    builds the one set of polynomials that the search, the walk and the
+    residual share.  kw_check factors the certificate's blocks, and
+    log_det_symmetric(K, report.moments) reuses that factorisation.
     """
     K = k_factors
     if _symmetric_regime(K, lower) != "narrow":
@@ -322,20 +333,29 @@ def narrow_design(k_factors: int, lower: int) -> NarrowDesignSpec:
 
     center = K // 2
     # m2 and m4 are affine in w, m_j(w) = m_j(center) + w * slope_j exactly,
-    # so each block determinant of M(w) is an integer polynomial in w.
-    m2_0, m4_0 = orbit_moment(K, center, 2), orbit_moment(K, center, 4)
-    m2_slope = 2 * (orbit_moment(K, lower, 2) - m2_0)
-    m4_slope = 2 * (orbit_moment(K, lower, 4) - m4_0)
-    exact = determinant_polynomials(K, (0, m2_0, 0, m4_0), (0, m2_slope, 0, m4_slope))
-    polynomials = [(mult, [float(c) for c in reversed(coeffs)]) for mult, coeffs in exact]
+    # with slope_j = 2 (m_j(lower) - m_j(center)); over the lcm D of the four
+    # orbit moments' denominators each block determinant of D M(w) is an
+    # integer polynomial in w.
+    scale, (c2, c4, l2, l4) = common_scale(
+        [orbit_moment(K, k, j) for k in (center, lower) for j in (2, 4)]
+    )
+    pencil = (0, c2, 0, c4), (0, 2 * (l2 - c2), 0, 2 * (l4 - c4))
+    exact = determinant_polynomials(K, scale, *pencil)
+    # Every polynomial has degree >= 1.  Horner's first two steps from
+    # p = dp = p''/2 = 0 leave p = c_n w + c_(n-1), dp = c_n, p''/2 = 0
+    # exactly, so each evaluation starts there.
+    polynomials = [
+        (mult, float(coeffs[-1]), float(coeffs[-2]), [float(c) for c in coeffs[-3::-1]])
+        for mult, coeffs in exact
+    ]
 
     def derivatives(w: float) -> tuple[float, float]:
         """d(-log det)/dw and its derivative: minus the sums over the blocks
         of mult p'/p and of mult (p''/p - (p'/p)^2), by Horner in floats."""
         first = second = 0.0
-        for mult, coeffs in polynomials:
-            p = dp = half_d2p = 0.0
-            for c in coeffs:
+        for mult, top, below, rest in polynomials:
+            p, dp, half_d2p = top * w + below, top, 0.0
+            for c in rest:
                 half_d2p = half_d2p * w + dp
                 dp = dp * w + p
                 p = p * w + c

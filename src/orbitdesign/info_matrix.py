@@ -200,11 +200,29 @@ def common_scale(values) -> tuple[int, list[int]]:
     return scale, [n * (scale // d) for n, d in ratios]
 
 
+# The last (K, MomentSet, result) of _factored_blocks.  It holds the
+# MomentSet itself, so the identity test cannot match a new object that
+# reuses a freed one's id.
+_last_factored = None
+
+
 def _factored_blocks(k_factors: int, m: MomentSet):
-    """A scale D and (block, adjugate, determinant) of each integer block of D M."""
+    """A scale D and (block, adjugate, determinant) of each integer block of D M.
+
+    Keeps one entry, the last call's, keyed by K and the identity of m: a
+    narrow solve's log_det_symmetric(K, report.moments) reuses what
+    kw_check's inverse_coefficients has just factored.  Any other MomentSet,
+    equal or not, or another K is factored afresh and replaces the entry.
+    """
+    global _last_factored
+    entry = _last_factored
+    if entry is not None and entry[1] is m and entry[0] == k_factors:
+        return entry[2]
     scale, moments = common_scale((m.m1, m.m2, m.m3, m.m4))
     blocks = information_blocks(k_factors, *moments, one=scale)
-    return scale, [(block, *_adjugate(block.matrix)) for block in blocks]
+    result = scale, tuple([(block, *_adjugate(block.matrix)) for block in blocks])
+    _last_factored = (k_factors, m, result)
+    return result
 
 
 def log_det_symmetric(k_factors: int, m: MomentSet) -> float:
@@ -266,43 +284,47 @@ def inverse_coefficients(k_factors: int, m: MomentSet) -> tuple[tuple[Block, ...
     for block, _, det in factored:
         if det <= 0:
             raise SingularDesignError(f"information matrix is singular (block {block.name})")
-    denominator = math.lcm(*(det for _, _, det in factored))
+    denominator = math.lcm(*[det for _, _, det in factored])
     numerator = scale * denominator
     inverse = []
-    for block, adj, det in factored:
-        factor = numerator // det  # exact: det divides L
-        matrix = tuple(tuple(factor * x for x in row) for row in adj)
-        inverse.append(Block(block.name, matrix, block.mult))
+    for (name, _, mult), adj, det in factored:
+        scaled = (numerator // det).__mul__  # exact: det divides L
+        inverse.append(Block(name, tuple([tuple(map(scaled, row)) for row in adj]), mult))
     return tuple(inverse), denominator
 
 
 def determinant_polynomials(
-    k_factors: int, m: tuple[Numeric, ...], dm: tuple[Numeric, ...]
+    k_factors: int, scale: int, m: tuple[int, ...], dm: tuple[int, ...]
 ) -> list[tuple[int, tuple[int, ...]]]:
     """(multiplicity, coefficients) per block of det(D block(m + w dm)) in w.
 
-    D is the common denominator of m and dm, so the coefficients, lowest
-    degree first, are integers.  With a = D block(m) and b = D block(dm),
-    det(a + w b) = det a + w tr(adj(a) b) + w^2 tr(a adj(b)) + w^3 det b for
-    a 3x3 block; a 2x2 block has no tr(a adj(b)) term, and a 1x1 block is
-    a + w b.  The derivatives of log det M along dm are sums of p'/p.
+    Takes the pencil in integers: the moments m and the direction dm as
+    integer numerators over one positive scale D, the caller's common
+    denominator.  The coefficients, lowest degree first, are then integers.
+    With a = D block(m) and b = D block(dm), det(a + w b) = det a +
+    w tr(adj(a) b) + w^2 tr(a adj(b)) + w^3 det b for a 3x3 block; a 2x2
+    block has no tr(a adj(b)) term, and a 1x1 block is a + w b; only the
+    traces a block needs are formed.  The derivatives of log det M along dm
+    are sums of p'/p.
     """
-    scale, values = common_scale((*m, *dm))
     polynomials = []
     for a, b in zip(
-        information_blocks(k_factors, *values[:4], one=scale),
-        information_blocks(k_factors, *values[4:], one=0),
+        information_blocks(k_factors, *m, one=scale),
+        information_blocks(k_factors, *dm, one=0),
     ):
         adj_a, det_a = _adjugate(a.matrix)
         adj_b, det_b = _adjugate(b.matrix)
-        middle = [_trace_product(adj_a, b.matrix), _trace_product(a.matrix, adj_b)]
-        polynomials.append((a.mult, (det_a, *middle[: len(a.matrix) - 1], det_b)))
+        size = len(a.matrix)
+        middle = [_trace_product(adj_a, b.matrix)] if size > 1 else []
+        if size > 2:
+            middle.append(_trace_product(a.matrix, adj_b))
+        polynomials.append((a.mult, (det_a, *middle, det_b)))
     return polynomials
 
 
 def _trace_product(x, y) -> int:
     """tr(x y) of two square matrices of the same size."""
-    return sum(map(mul, chain(*x), chain(*zip(*y))))
+    return sum(map(mul, chain.from_iterable(x), chain.from_iterable(zip(*y))))
 
 
 def assemble_inverse(k_factors: int, m: MomentSet) -> np.ndarray:

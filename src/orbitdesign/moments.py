@@ -40,6 +40,7 @@ Numeric = Union[Fraction, float, int]
 
 #: The one Fraction design_moments returns for every vanishing moment.
 ZERO = Fraction(0)
+_ALL_ZERO = (ZERO,) * 4
 
 
 class MomentSet(namedtuple("MomentSet", "m1 m2 m3 m4")):
@@ -64,10 +65,11 @@ class MomentSet(namedtuple("MomentSet", "m1 m2 m3 m4")):
         return MomentSet._make(map(float, self))
 
     def all_zero(self) -> bool:
-        """True when all four moments are zero, i.e. M = I.  count() tests
-        identity before equality, so the shared ZEROs of design_moments cost
-        no Fraction method."""
-        return self.count(ZERO) == 4
+        """True when all four moments are zero, i.e. M = I.  The tuple
+        comparison stops at the first non-zero moment and tests identity
+        before equality, so the shared ZEROs of design_moments cost no
+        Fraction method."""
+        return self == _ALL_ZERO
 
 
 def _check_args(k_factors: int, k: int, j: int) -> None:
@@ -99,7 +101,10 @@ def orbit_moment(k_factors: int, k: int, j: int) -> Fraction:
     _check_args(k_factors, k, j)
     coeffs, denom = moment_polynomial(k_factors, j)
     t = 2 * k - k_factors
-    return Fraction(sum(c * t**i for i, c in enumerate(coeffs)), denom)
+    value = 0
+    for c in reversed(coeffs):
+        value = value * t + c
+    return Fraction(value, denom)
 
 
 def design_moments(design: OrbitDesign) -> MomentSet:

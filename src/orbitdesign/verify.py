@@ -131,7 +131,7 @@ def sensitivity_poly(k_factors: int, m: MomentSet) -> SensitivityPoly:
     blocks, denominator = inverse_coefficients(k_factors, m)
     flat = [x for block in blocks for row in block.matrix for x in row]
     vectors, scale = quartic_directions(k_factors)
-    numerators = tuple(sum(map(mul, flat, v)) for v in vectors)
+    numerators = tuple([sum(map(mul, flat, v)) for v in vectors])
     return SensitivityPoly(k_factors, numerators, denominator * scale)
 
 
@@ -171,15 +171,21 @@ def kw_check(
     poly = sensitivity_poly(K, m)
 
     # The moments are exact, so the quartic is integers over one denominator:
-    # the scan runs in integers and rounds once per reported value.
+    # the scan runs in integers and rounds once per reported value.  An even
+    # quartic (c1 = c3 = 0, every symmetric design) takes one value at t and
+    # -t, so orbit k > K/2 copies orbit K - k when the scan has passed it.
     scale = poly.denominator
     c0, c1, c2, c3, c4 = poly.numerators
-    values = {}
+    even = c1 == c3 == 0
+    values, per_orbit = {}, {}
     for k in range(lower, upper + 1):
+        if even and lower <= K - k < k:
+            values[k], per_orbit[k] = values[K - k], per_orbit[K - k]
+            continue
         t = 2 * k - K
-        values[k] = (((c4 * t + c3) * t + c2) * t + c1) * t + c0
+        values[k] = value = (((c4 * t + c3) * t + c2) * t + c1) * t + c0
+        per_orbit[k] = value / scale
     argmax = max(values, key=values.get)
-    per_orbit = {k: value / scale for k, value in values.items()}
     max_violation = (values[argmax] - p * scale) / scale
     return KwReport(max_violation, argmax, per_orbit, p, tol, m)
 

@@ -243,6 +243,67 @@ class TestOptimal:
         assert float(point_weight) == pytest.approx(0.3865193099186674 / 15, abs=1e-16)
 
 
+# The file optimal --k 6 --lower 2 --json writes: a narrow design has float
+# weights, and its file holds them as JSON numbers.
+K6_NARROW_WRITTEN = {
+    "k": 6,
+    "lower": 2,
+    "upper": 4,
+    "orbits": [
+        {"k": 2, "weight": 0.38651930991866734},
+        {"k": 3, "weight": 0.22696138016266532},
+        {"k": 4, "weight": 0.38651930991866734},
+    ],
+}
+
+
+class TestExactDesignFiles:
+    """optimal --json writes an exact design's weights as "n/d" strings, and
+    verify reads them back as Fractions, so the file keeps the certificate."""
+
+    @pytest.mark.parametrize(
+        "k_factors, lower, regime",
+        [(12, 3, "wide"), (6, 1, "threshold"), (3, 0, "full-factorial")],
+    )
+    def test_round_trip_keeps_the_exact_certificate(
+        self, capsys, tmp_path, k_factors, lower, regime
+    ):
+        path = tmp_path / "design.json"
+        argv = ["optimal", "--k", str(k_factors), "--lower", str(lower), "--json", str(path)]
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0
+        assert f"regime: {regime}" in out
+        assert "max(psi - p) = 0.000e+00" in out
+        orbits = json.loads(path.read_text(encoding="utf-8"))["orbits"]
+        assert all(type(entry["weight"]) is str for entry in orbits)
+        weights = {entry["k"]: Fraction(entry["weight"]) for entry in orbits}
+        assert weights == optimal_design(k_factors, lower).design.weights()
+        code, out, _ = run_cli(capsys, "verify", str(path))
+        assert code == 0
+        # Every orbit has psi = p exactly, as for the design in memory.
+        rows = out.splitlines()[2:-1]
+        assert rows and all(row.split()[2] == "0.000e+00" for row in rows)
+        assert "max(psi - p) = 0.000e+00" in out
+
+    def test_narrow_file_is_unchanged(self, capsys, tmp_path):
+        path = tmp_path / "design.json"
+        code, _, _ = run_cli(capsys, "optimal", "--k", "6", "--lower", "2", "--json", str(path))
+        assert code == 0
+        assert path.read_text(encoding="utf-8") == json.dumps(K6_NARROW_WRITTEN, indent=2) + "\n"
+
+    def test_string_weights_sum_exactly(self, capsys, tmp_path):
+        payload = json.loads(json.dumps(K6_NARROW_WRITTEN))
+        for entry, weight in zip(payload["orbits"], ("1/2", "1", "1/2")):
+            entry["weight"] = weight
+        code, _, err = run_cli(capsys, "verify", write_design(tmp_path / "d.json", payload))
+        assert code == 2
+        assert "orbit weights sum to 2, not 1" in err
+        payload["orbits"][1]["weight"] = "1e400"
+        code, _, err = run_cli(capsys, "verify", write_design(tmp_path / "d.json", payload))
+        assert code == 2
+        assert "orbit weights sum to inf, not 1" in err
+
+
 class TestVerify:
     def test_reference_design_passes(self, capsys, tmp_path):
         path = write_design(tmp_path / "d.json", K6_NARROW_FILE)
@@ -540,18 +601,21 @@ class TestExpand:
 
 @pytest.mark.parametrize("command", ["verify", "expand"])
 @pytest.mark.parametrize(
-    "weight", [float("nan"), float("inf"), 10**400], ids=["nan", "inf", "10**400"]
+    "weight",
+    [float("nan"), float("inf"), 10**400, "", "abc", "1/0", "-1/3"],
+    ids=["nan", "inf", "10**400", "empty-string", "abc", "1/0", "-1/3"],
 )
 def test_non_finite_weight_rejected(capsys, tmp_path, command, weight):
     payload = json.loads(json.dumps(K6_NARROW_FILE))
     payload["orbits"][0]["weight"] = weight
     # json writes these as NaN, Infinity and a 401-digit integer literal,
-    # which json.load accepts; the integer is beyond the float range.
+    # which json.load accepts; the integer is beyond the float range.  A
+    # string weight must parse as a nonnegative rational.
     path = write_design(tmp_path / "d.json", payload)
     code, out, err = run_cli(capsys, command, path)
     assert code == 2
     assert out == ""
-    assert "invalid weight" in err and "at k=2" in err
+    assert f"design file: invalid weight {weight!r} at k=2" in err
 
 
 @pytest.mark.parametrize("command", ["verify", "expand"])

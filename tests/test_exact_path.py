@@ -308,3 +308,21 @@ def test_wide_certificates_are_frozen(k_factors, lower, violation, argmax, diges
     report = kw_check(wide_design(k_factors, lower).design, lower, k_factors - lower)
     assert (report.max_violation.hex(), report.argmax_orbit) == (violation, argmax)
     assert per_orbit_digest(report) == digest
+
+
+def test_every_narrow_solve_is_frozen():
+    # One line per narrow region with K = 4..100, in order: w*, the search
+    # and walk evaluations, the residual, log det and the certificate.
+    regions = narrow_regions(100)
+    assert len(regions) == 500
+    lines = []
+    for k_factors, lower in regions:
+        spec = narrow_design(k_factors, lower)
+        report = spec.kw_report
+        lines.append(
+            f"{k_factors} {lower} {spec.w_star.hex()} {spec.evaluations} "
+            f"{spec.residual.hex()} {spec.log_det.hex()} {report.max_violation.hex()} "
+            f"{report.argmax_orbit}"
+        )
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == "bc21bfb996293e75a953ad8a35b06e1fd6949fdfffbfb63c2bbd250f538e38e2"

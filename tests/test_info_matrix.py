@@ -10,12 +10,16 @@ from itertools import combinations
 import numpy as np
 import pytest
 
+import orbitdesign.info_matrix
 from orbitdesign import (
     MomentSet,
     OrbitDesign,
     OrbitDesignError,
     SingularDesignError,
+    kw_check,
+    narrow_design,
     optimal_design,
+    regime,
 )
 from orbitdesign.info_matrix import (
     assemble_general,
@@ -403,7 +407,7 @@ class TestTooFewFactors:
             lambda: information_blocks(k_factors, 0, 0, 0, 0),
             lambda: log_det_symmetric(k_factors, ZERO_MOMENTS),
             lambda: inverse_coefficients(k_factors, ZERO_MOMENTS),
-            lambda: determinant_polynomials(k_factors, ZERO_MOMENTS, ZERO_MOMENTS),
+            lambda: determinant_polynomials(k_factors, 1, (0, 0, 0, 0), (0, 0, 0, 0)),
             lambda: sensitivity_poly(k_factors, ZERO_MOMENTS),
         ]
         for call in calls:
@@ -473,3 +477,48 @@ class TestInverse:
             assert all(type(x) is int for b in numerators for row in b.matrix for x in row)
             inverse = inverse_blocks(d.k_factors, m)
             assert exact_identity_blocks(zip(blocks_of(d.k_factors, m), inverse))
+
+
+class TestFactoredOnce:
+    """_factored_blocks keeps its last result, keyed by K and the identity of
+    the MomentSet, so a narrow solve factors its certificate's blocks once."""
+
+    @staticmethod
+    def count_adjugates(monkeypatch):
+        calls = []
+        original = orbitdesign.info_matrix._adjugate
+
+        def counting(matrix):
+            calls.append(len(matrix))
+            return original(matrix)
+
+        monkeypatch.setattr(orbitdesign.info_matrix, "_adjugate", counting)
+        return calls
+
+    def test_log_det_after_kw_check_reuses_the_factorisation(self, monkeypatch):
+        calls = self.count_adjugates(monkeypatch)
+        regions = [(K, L) for K in range(4, 41) for L in range(K // 2) if regime(K, L) == "narrow"]
+        assert len(regions) == 114
+        for k_factors, lower in regions:
+            report = kw_check(narrow_design(k_factors, lower).design, lower, k_factors - lower)
+            calls.clear()
+            reused = log_det_symmetric(k_factors, report.moments)
+            assert calls == []
+            fresh = log_det_symmetric(k_factors, MomentSet(*report.moments))
+            assert calls == [3, 2, 1]
+            assert reused.hex() == fresh.hex(), (k_factors, lower)
+
+    def test_equal_moments_or_another_k_are_factored_afresh(self, monkeypatch):
+        calls = self.count_adjugates(monkeypatch)
+        m = design_moments(symmetric_design(20, {2: 0.25, 6: 0.25, 10: 0.5}))
+        log_det_symmetric(20, m)
+        assert len(calls) == 3
+        inverse_coefficients(20, m)
+        log_det_symmetric(20, m)
+        assert len(calls) == 3
+        log_det_symmetric(20, MomentSet(*m))  # equal, not the same object
+        assert len(calls) == 6
+        log_det_symmetric(21, m)
+        assert len(calls) == 9
+        log_det_symmetric(20, m)  # the entry now holds K = 21
+        assert len(calls) == 12

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from itertools import product
 from math import prod
 
 import numpy as np
@@ -250,6 +251,26 @@ class TestOnePassMoments:
         assert MomentSet(0, 0.0, Fraction(0), 0).all_zero()
         assert not MomentSet(0, 0, 0, 1e-300).all_zero()
         assert not MomentSet(0, 0, Fraction(1, 10**30), 0).all_zero()
+        zeros = (0, 0.0, -0.0, Fraction(0), ZERO)
+        for values in product(zeros, repeat=4):
+            assert MomentSet(*values).all_zero(), values
+        for nonzero in (1e-300, -1e-300, Fraction(1, 10**30), Fraction(-1, 3), 1, float("nan")):
+            for position in range(4):
+                for zero in zeros:
+                    values = [zero] * 4
+                    values[position] = nonzero
+                    assert not MomentSet._make(values).all_zero(), values
+
+    def test_all_zero_stops_at_the_first_nonzero_moment(self):
+        class Unread:
+            def __eq__(self, other):
+                raise AssertionError("all_zero read past a non-zero moment")
+
+            __hash__ = None
+
+        for position in range(3):
+            values = [ZERO] * position + [Fraction(1, 3)] + [Unread()] * (3 - position)
+            assert not MomentSet._make(values).all_zero()
 
     def test_cached_polynomials_equal_the_closed_form(self):
         for K in range(1, 121):
