@@ -24,7 +24,8 @@ any K >= 2.  expand lists points, and refuses a design with an orbit of
 more than C(64, 32) points before it writes anything.
 
 Exit codes: 0 success / check passed, 2 usage or file error,
-3 singular or non-estimable region, 4 equivalence check failed,
+3 singular or non-estimable region, 4 equivalence check failed: max(psi - p)
+on the region exceeds --tol (absolute), as a narrow double w* can at large K,
 141 output pipe closed by its reader (as a tool killed by SIGPIPE).
 """
 
@@ -55,7 +56,7 @@ from .orbits import (
     size_digits,
     weight_per_point,
 )
-from .verify import kw_check
+from .verify import KW_TOL, kw_check
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -330,6 +331,8 @@ def _expand_chunks(design: OrbitDesign, n: Optional[int]) -> Iterator[str]:
 
 def _cmd_expand(args: argparse.Namespace) -> int:
     if args.file is not None:
+        if any(v is not None for v in (args.k, args.lower, args.upper, args.ell)):
+            raise OrbitDesignError("expand FILE takes no --k, --lower, --upper or --ell")
         design = _load_design_file(args.file)[0]
     elif args.k is None or args.lower is None:
         raise OrbitDesignError("expand needs either a design file or --k and --lower")
@@ -395,7 +398,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--ell", type=int, default=None,
         help="intermediate orbit index for the wide regime (default: smallest admissible)",
     )
-    p_opt.add_argument("--tol", type=_tolerance, default=1e-9, help="KW check tolerance")
+    p_opt.add_argument("--tol", type=_tolerance, default=KW_TOL, help="KW check tolerance")
     p_opt.add_argument("--json", metavar="PATH", help="write the design file here")
     p_opt.add_argument("--csv", metavar="PATH", help="write orbit weights as CSV")
 
@@ -403,7 +406,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_ver.add_argument("file", help="design file (JSON)")
     p_ver.add_argument("--lower", type=int, default=None, help="override region lower bound")
     p_ver.add_argument("--upper", type=int, default=None, help="override region upper bound")
-    p_ver.add_argument("--tol", type=_tolerance, default=1e-9, help="KW check tolerance")
+    p_ver.add_argument("--tol", type=_tolerance, default=KW_TOL, help="KW check tolerance")
 
     p_tab = sub.add_parser("tables", help="regenerate the optimal-design tables")
     p_tab.add_argument(

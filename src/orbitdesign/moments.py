@@ -34,7 +34,7 @@ from operator import index, mul
 from typing import Union
 
 from .exceptions import OrbitDesignError
-from .orbits import OrbitDesign
+from .orbits import OrbitDesign, check_orbit_index
 
 Numeric = Union[Fraction, float, int]
 
@@ -72,13 +72,6 @@ class MomentSet(namedtuple("MomentSet", "m1 m2 m3 m4")):
         return self == _ALL_ZERO
 
 
-def _check_args(k_factors: int, k: int, j: int) -> None:
-    if not 0 <= k <= k_factors:
-        raise OrbitDesignError(f"orbit index must be in 0..{k_factors}, got {k}")
-    if not 1 <= j <= 4:
-        raise OrbitDesignError(f"moment order must be in 1..4, got {j}")
-
-
 @cache
 def moment_polynomial(k_factors: int, j: int) -> tuple[tuple[int, ...], int]:
     """The closed form of m_j as a polynomial in t = 2k - K: integer
@@ -98,7 +91,9 @@ def moment_polynomial(k_factors: int, j: int) -> tuple[tuple[int, ...], int]:
 
 def orbit_moment(k_factors: int, k: int, j: int) -> Fraction:
     """Exact j-th moment of the uniform design on orbit k (closed form)."""
-    _check_args(k_factors, k, j)
+    check_orbit_index(k_factors, k)
+    if not 1 <= j <= 4:
+        raise OrbitDesignError(f"moment order must be in 1..4, got {j}")
     coeffs, denom = moment_polynomial(k_factors, j)
     t = 2 * k - k_factors
     value = 0

@@ -58,10 +58,15 @@ def check_factor_count(k_factors: int) -> None:
         raise OrbitDesignError(f"need K >= 2, got {k_factors}")
 
 
-def orbit_size(k_factors: int, k: int) -> int:
-    """Exact size C(K, k) of the orbit with k active factors."""
+def check_orbit_index(k_factors: int, k: int) -> None:
+    """The one orbit-index rule: orbits are k = 0..K."""
     if not 0 <= k <= k_factors:
         raise OrbitDesignError(f"orbit index must be in 0..{k_factors}, got {k}")
+
+
+def orbit_size(k_factors: int, k: int) -> int:
+    """Exact size C(K, k) of the orbit with k active factors."""
+    check_orbit_index(k_factors, k)
     return math.comb(k_factors, k)
 
 
@@ -232,8 +237,7 @@ class OrbitDesign:
         stored: dict[int, int] = {}
         for k, n in numerators.items():
             if not 0 <= k <= top:
-                if not 0 <= k <= k_factors:
-                    raise OrbitDesignError(f"orbit index must be in 0..{k_factors}, got {k}")
+                check_orbit_index(k_factors, k)
                 raise OrbitDesignError(f"symmetric designs store orbits k <= {top} only, got {k}")
             if n < 0:
                 w = Fraction(n, scale) if given is None else given[k]

@@ -56,10 +56,12 @@ from .info_matrix import (
     model_dims,
 )
 from .moments import MomentSet, design_moments, moment_polynomial
-from .orbits import OrbitDesign, enumerate_orbit, listed_size, orbit_size
+from .orbits import OrbitDesign, Region, enumerate_orbit, listed_size, orbit_size
 
 if TYPE_CHECKING:
     import numpy as np
+
+KW_TOL = 1e-9  # default absolute bound on max(psi - p): kw_check, optimal_design, --tol
 
 
 class SensitivityPoly(NamedTuple):
@@ -139,14 +141,14 @@ def kw_check(
     design: OrbitDesign,
     lower: int,
     upper: int,
-    tol: float = 1e-9,
+    tol: float = KW_TOL,
 ) -> KwReport:
     """Equivalence-theorem check of an invariant design over orbits lower..upper.
 
     Passing certifies D-optimality among all designs supported on the
-    region.  The design must be supported inside the region (otherwise
-    OrbitDesignError) and regular; singular designs raise
-    SingularDesignError with the failing block named.
+    region.  The region must be one that Region accepts and the design
+    must be supported inside it (otherwise OrbitDesignError) and regular;
+    singular designs raise SingularDesignError with the failing block named.
 
     A design whose four moments are exactly zero has M = I, so psi(x) =
     f(x)^T f(x) = p on every orbit: its report (violation 0 at orbit lower,
@@ -155,8 +157,7 @@ def kw_check(
     however small its moments, takes the general path.
     """
     K = design.k_factors
-    if not 0 <= lower <= upper <= K:
-        raise OrbitDesignError(f"invalid orbit range [{lower}, {upper}] for K={K}")
+    Region(K, lower, upper)
     support = design._numerators
     if min(support) < lower or max(support) > upper:
         outside = sorted(k for k in support if not lower <= k <= upper)

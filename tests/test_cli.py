@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import ast
+import inspect
 import json
 import math
 import os
@@ -16,11 +17,12 @@ import pytest
 
 import orbitdesign
 import orbitdesign.cli
-from orbitdesign import OrbitDesign, optimal_design
+from orbitdesign import OrbitDesign, kw_check, optimal_design
 from orbitdesign.cli import EXIT_BROKEN_PIPE, EXPAND_CHUNK_LINES, main
 from orbitdesign.info_matrix import assemble_general
 from orbitdesign.moments import design_moments
 from orbitdesign.orbits import MAX_ORBIT_POINTS, enumerate_orbit, orbit_size
+from orbitdesign.verify import KW_TOL
 
 from conftest import feature_vector
 from reference_tables import NARROW_ROWS, WIDE_ROWS
@@ -143,6 +145,18 @@ class TestOptimal:
         assert code == 0
         assert out.splitlines()[-1].endswith("-> PASS")
         assert err == ""
+
+    def test_large_k_narrow_is_judged_at_the_tolerance(self, capsys):
+        # The double w* of K = 4336, L = 2167 leaves max(psi - p) = 1.03e-9:
+        # a failed check at the default tolerance, a pass at 1e-8.
+        code, out, err = run_cli(capsys, "optimal", "--k", "4336", "--lower", "2167")
+        assert code == 4 and err == ""
+        assert out.splitlines()[-1].endswith("(tol 1e-09) -> FAIL")
+        code, out, err = run_cli(
+            capsys, "optimal", "--k", "4336", "--lower", "2167", "--tol", "1e-8"
+        )
+        assert code == 0 and err == ""
+        assert out.splitlines()[-1].endswith("(tol 1e-08) -> PASS")
 
     def test_orbit_sizes_beyond_float_range(self, capsys, tmp_path):
         # C(1030, 515) > 1.8e308: the central point weights are subnormal
@@ -415,6 +429,12 @@ class TestVerify:
         assert "PASS" not in out
         assert "outside the region [2, 4]" in err
 
+    def test_region_override_must_be_a_region(self, capsys, tmp_path):
+        path = write_design(tmp_path / "d.json", K6_NARROW_FILE)
+        code, out, err = run_cli(capsys, "verify", path, "--lower", "4", "--upper", "2")
+        assert code == 2 and out == ""
+        assert err == "error: need 0 <= lower <= upper <= 6, got lower=4, upper=2\n"
+
     def test_region_override(self, capsys, tmp_path):
         # Optimal on [2, 4] but not on the full cube: overriding the region
         # must flip the verdict.
@@ -525,6 +545,15 @@ class TestExpand:
         code, out, _ = run_cli(capsys, "expand", path)
         assert code == 0
         assert len(out.splitlines()) == 1 + 4 + 6
+
+    @pytest.mark.parametrize(
+        "option", [["--k", "9"], ["--lower", "2"], ["--upper", "4"], ["--ell", "3"]]
+    )
+    def test_file_takes_no_region_options(self, capsys, tmp_path, option):
+        path = write_design(tmp_path / "d.json", K6_NARROW_FILE)
+        code, out, err = run_cli(capsys, "expand", path, *option)
+        assert code == 2 and out == ""
+        assert err == "error: expand FILE takes no --k, --lower, --upper or --ell\n"
 
     @pytest.mark.parametrize("n", ["0", "-10"])
     def test_invalid_sample_size_is_usage_error(self, capsys, n):
@@ -736,6 +765,15 @@ def test_unwritable_output_file_is_file_error(capsys, tmp_path, argv):
     code, _, err = run_cli(capsys, *argv, str(path))
     assert code == 2
     assert err.startswith("error: ") and str(path) in err
+
+
+def test_one_default_tolerance():
+    # kw_check, optimal_design and both --tol options read the one default.
+    for function in (kw_check, optimal_design):
+        assert inspect.signature(function).parameters["tol"].default is KW_TOL
+    parser = orbitdesign.cli.build_parser()
+    assert parser.parse_args(["optimal", "--k", "6", "--lower", "2"]).tol is KW_TOL
+    assert parser.parse_args(["verify", "d.json"]).tol is KW_TOL
 
 
 def test_cli_imports_no_private_names():

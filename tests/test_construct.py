@@ -697,6 +697,27 @@ class TestCertification:
             report = narrow_design(k_factors, lower).kw_report
             assert report.passed and abs(report.max_violation) <= 1e-10
 
+    @pytest.mark.parametrize("k_factors, lower, tol", [(4336, 2167, 1e-8), (12000, 5999, 1e-7)])
+    def test_caller_judges_a_large_k_certificate(self, k_factors, lower, tol):
+        # The excess a double w* leaves exceeds the absolute default at large
+        # K: narrow_design returns the failing certificate, and the caller's
+        # tolerance judges it.
+        spec = narrow_design(k_factors, lower)
+        assert not spec.kw_report.passed
+        result = optimal_design(k_factors, lower, tol=tol)
+        assert result.kw_report.passed
+        assert result.kw_report.max_violation == spec.kw_report.max_violation
+        assert result.design == spec.design
+
+    def test_narrow_band_near_the_centre_returns_every_design(self):
+        # K = 4300..4400 with the six lower bounds below the centre orbit: no
+        # region raises, whatever its verdict at the default tolerance.
+        for k_factors in range(4300, 4401):
+            for lower in range(k_factors // 2 - 6, k_factors // 2):
+                spec = narrow_design(k_factors, lower)
+                assert 0 < spec.w_star < 0.5
+                assert spec.kw_report.max_violation <= 1e-8, (k_factors, lower)
+
     def test_narrow_designs_flat_on_support(self):
         for k_factors, lower in ((6, 2), (10, 4), (13, 5)):
             spec = narrow_design(k_factors, lower)

@@ -42,6 +42,19 @@ class TestOrbitSize:
         assert orbit_size(6, 3) == 20
         assert orbit_size(22, 11) == 705432
 
+    @pytest.mark.parametrize("k", [-1, 7])
+    def test_one_orbit_index_rule(self, k):
+        # Sizes, designs and moments refuse an orbit index by one rule.
+        message = rf"^orbit index must be in 0\.\.6, got {k}$"
+        for refused in (
+            lambda: orbit_size(6, k),
+            lambda: OrbitDesign(6, {k: 1}),
+            lambda: OrbitDesign(6, {k: 1}, symmetric=True),
+            lambda: orbit_moment(6, k, 2),
+        ):
+            with pytest.raises(OrbitDesignError, match=message):
+                refused()
+
     def test_against_pascal_recurrence(self):
         for n in range(23):
             for k in range(n + 1):

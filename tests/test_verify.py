@@ -14,6 +14,7 @@ from orbitdesign import (
     MomentSet,
     OrbitDesign,
     OrbitDesignError,
+    Region,
     SingularDesignError,
     full_factorial,
     kw_check,
@@ -148,6 +149,15 @@ class TestKwCheck:
         design = wide_design(6, 1).design
         with pytest.raises(OrbitDesignError):
             kw_check(design, 4, 2)
+
+    @pytest.mark.parametrize("lower, upper", [(4, 2), (-1, 5), (1, 7)])
+    def test_invalid_region_is_refused_by_the_region_rule(self, lower, upper):
+        design = wide_design(6, 1).design
+        with pytest.raises(OrbitDesignError) as by_region:
+            Region(6, lower, upper)
+        with pytest.raises(OrbitDesignError) as by_check:
+            kw_check(design, lower, upper)
+        assert str(by_check.value) == str(by_region.value)
 
     def test_support_outside_region_rejected(self):
         # The K=6 design for the full cube puts weight on orbits 1, 3 and 5.
