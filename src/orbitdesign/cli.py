@@ -17,7 +17,9 @@ A weight is a JSON number or a string "n/d", the exact rational n/d (any
 string that fractions.Fraction reads, such as "0.15", is taken exactly).
 optimal --json writes the weights of an exact design (wide, threshold,
 full factorial) as such strings, so that verify of its file repeats the
-exact certificate, and every other weight as a number.
+exact certificate, and every other weight as a number.  A point of orbit k
+carries point_weight: the orbit weight as a float, divided by C(K, k)
+exactly and rounded once, for every K.
 
 K policy: optimal and verify work on orbit weights and moments, and take
 any K >= 2.  expand lists points, and refuses a design with an orbit of

@@ -118,9 +118,9 @@ def lemma2_design(k_factors: int) -> OrbitDesign:
     fourth moments vanish exactly.  For K <= 3 it is the full factorial.
     """
     K = k_factors
-    # The one integer that can equal B_K, and regime says whether it does;
-    # max(., 0) because K < 2 has a negative discriminant and regime refuses it.
-    lower = (K - math.isqrt(max(_threshold_discriminant(K), 0))) // 2
+    check_factor_count(K)
+    # The one integer that can equal B_K, and regime says whether it does.
+    lower = (K - math.isqrt(_threshold_discriminant(K))) // 2
     if regime(K, lower) not in ("threshold", "full-factorial"):
         raise OrbitDesignError(
             f"threshold_b({K}) = {threshold_b(K):.4f} is not an integer; "
@@ -342,21 +342,15 @@ def narrow_design(k_factors: int, lower: int) -> NarrowDesignSpec:
     )
     pencil = (0, c2, 0, c4), (0, 2 * (l2 - c2), 0, 2 * (l4 - c4))
     exact = determinant_polynomials(K, scale, *pencil)
-    # Every polynomial has degree >= 1.  Horner's first two steps from
-    # p = dp = p''/2 = 0 leave p = c_n w + c_(n-1), dp = c_n, p''/2 = 0
-    # exactly, so each evaluation starts there.
-    polynomials = [
-        (mult, float(coeffs[-1]), float(coeffs[-2]), [float(c) for c in coeffs[-3::-1]])
-        for mult, coeffs in exact
-    ]
+    polynomials = [(mult, [float(c) for c in reversed(coeffs)]) for mult, coeffs in exact]
 
     def derivatives(w: float) -> tuple[float, float]:
         """d(-log det)/dw and its derivative: minus the sums over the blocks
         of mult p'/p and of mult (p''/p - (p'/p)^2), by Horner in floats."""
         first = second = 0.0
-        for mult, top, below, rest in polynomials:
-            p, dp, half_d2p = top * w + below, top, 0.0
-            for c in rest:
+        for mult, coeffs in polynomials:
+            p = dp = half_d2p = 0.0
+            for c in coeffs:
                 half_d2p = half_d2p * w + dp
                 dp = dp * w + p
                 p = p * w + c

@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import math
 import operator
-import sys
 from collections import namedtuple
 from decimal import Decimal
 from fractions import Fraction
@@ -89,9 +88,10 @@ def listed_size(k_factors: int, k: int) -> int:
 
 
 def weight_per_point(weight: Weight, size: int) -> Weight:
-    """weight / size, the weight of each point of an orbit of that size."""
-    if isinstance(weight, float) and size > sys.float_info.max:
-        # float / int would convert the size to a float; divide exactly instead.
+    """weight / size, the weight of each point of an orbit of that size.  A
+    float weight is divided exactly and rounded once, for every size (float /
+    int would round a size above 2^53 first)."""
+    if isinstance(weight, float):
         return float(Fraction(weight) / size)
     return weight / size
 

@@ -159,19 +159,29 @@ class TestOptimal:
         assert out.splitlines()[-1].endswith("(tol 1e-08) -> PASS")
 
     def test_orbit_sizes_beyond_float_range(self, capsys, tmp_path):
-        # C(1030, 515) > 1.8e308: the central point weights are subnormal
-        # floats, computed without converting the orbit size to a float.
-        path = tmp_path / "design.csv"
-        code, out, err = run_cli(
-            capsys, "optimal", "--k", "1030", "--lower", "0", "--csv", str(path)
-        )
-        assert code == 0 and err == ""
-        assert out.splitlines()[-1].endswith("-> PASS")
-        rows = [line.split(",") for line in path.read_text(encoding="utf-8").splitlines()[1:]]
-        assert [int(k) for k, *_ in rows] == [0, 488, 515, 542, 1030]
-        for _, orbit_weight, point_weight, size in rows:
-            exact = Fraction(float(orbit_weight)) / int(size)
-            assert float(point_weight) == float(exact) > 0
+        cases = [
+            # C(1030, 515) > 1.8e308: the central point weights are subnormal
+            # floats, computed without converting the orbit size to a float.
+            (1030, 0, [0, 488, 515, 542, 1030]),
+            # 2^53 < C(58, 24) < 1.8e308: float / size would round the size
+            # first and put orbits 24 and 34 one ulp off.
+            (58, 24, [24, 29, 34]),
+        ]
+        for k_factors, lower, orbits in cases:
+            path = tmp_path / f"design{k_factors}.csv"
+            code, out, err = run_cli(
+                capsys, "optimal", "--k", str(k_factors), "--lower", str(lower),
+                "--csv", str(path),
+            )
+            assert code == 0 and err == ""
+            assert out.splitlines()[-1].endswith("-> PASS")
+            rows = [
+                line.split(",") for line in path.read_text(encoding="utf-8").splitlines()[1:]
+            ]
+            assert [int(k) for k, *_ in rows] == orbits
+            for _, orbit_weight, point_weight, size in rows:
+                exact = Fraction(float(orbit_weight)) / int(size)
+                assert float(point_weight) == float(exact) > 0
 
     def test_orbit_sizes_past_the_digit_limit(self, capsys, tmp_path):
         # C(14292, 7146) has more digits than int-to-str conversion allows by

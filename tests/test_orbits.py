@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import pytest
 
-from orbitdesign import MomentSet, OrbitDesign, OrbitDesignError, Region
+from orbitdesign import MomentSet, OrbitDesign, OrbitDesignError, Region, optimal_design
 from orbitdesign.moments import design_moments, orbit_moment
 from orbitdesign.orbits import (
     MAX_ORBIT_POINTS,
@@ -285,3 +285,18 @@ class TestPointWeight:
         exact = float(Fraction(1, 2 * math.comb(1030, 515)))
         assert weight_per_point(d.weight(515), orbit_size(1030, 515)) == exact > 0
         assert weight_per_point(d.weight(0), orbit_size(1030, 0)) == 0.5
+        # 2^53 < C(57, 25): float / size would round the size first.
+        w = 0.13436424411240122
+        assert weight_per_point(w, math.comb(57, 25)) == 1.3531861540661757e-17
+
+    def test_designs_k50_to_70_divide_exactly(self):
+        # Every orbit of every optimal design for K = 50..70; many of their
+        # sizes lie between 2^53 and the float range.
+        for k_factors in range(50, 71):
+            for lower in range(k_factors // 2):
+                design = optimal_design(k_factors, lower).design
+                for k in design.support():
+                    w, size = float(design.weight(k)), math.comb(k_factors, k)
+                    assert weight_per_point(w, size) == float(Fraction(w) / size), (
+                        k_factors, lower, k,
+                    )
