@@ -39,7 +39,6 @@ import os
 import sys
 from contextlib import nullcontext
 from fractions import Fraction
-from itertools import chain
 from typing import Iterator, Optional, Sequence, Union
 
 from .construct import OptimalDesign, admissible_ells, optimal_design, regime, threshold_b
@@ -302,16 +301,14 @@ def _cmd_tables(args: argparse.Namespace) -> int:
 def _expand_chunks(design: OrbitDesign, n: Optional[int]) -> Iterator[str]:
     """The output of expand in chunks of about EXPAND_CHUNK_LINES lines.
 
-    The first chunk carries the header.  Before it is built, listed_size
-    checks every orbit of the design, so a refused expansion fails on the
-    first draw and writes nothing.  Each orbit comes from orbit_blocks as
-    (prefix, suffixes) blocks; the line endings of a suffix list are built
-    once per orbit, and a block is its prefix joined with them.  A chunk
-    closes after the block that reaches EXPAND_CHUNK_LINES, so it overshoots
-    by less than one block, at most C(10, 5) = 252 lines.
+    The first chunk carries the header.  _cmd_expand runs listed_size on
+    every orbit before any output or CSV is opened, so a refused expansion
+    writes nothing.  Each orbit comes from orbit_blocks as (prefix,
+    suffixes) blocks; the line endings of a suffix list are built once per
+    orbit, and a block is its prefix joined with them.  A chunk closes
+    after the block that reaches EXPAND_CHUNK_LINES, so it overshoots by
+    less than one block, at most C(10, 5) = 252 lines.
     """
-    for k in design.support():
-        listed_size(design.k_factors, k)
     parts = ["k,point,point_weight" + ("" if n is None else ",count") + "\n"]
     lines = 0
     for k, _, weight, _ in _orbit_rows(design):
@@ -341,10 +338,10 @@ def _cmd_expand(args: argparse.Namespace) -> int:
     else:
         design = optimal_design(args.k, args.lower, args.upper, args.ell).design
 
-    chunks = _expand_chunks(design, args.n)
-    first = next(chunks)  # a refused enumeration raises here, before any output
+    for k in design.support():
+        listed_size(design.k_factors, k)  # refuses before any output is opened
     with open(args.csv, "w", encoding="utf-8") if args.csv else nullcontext() as csv:
-        for chunk in chain((first,), chunks):
+        for chunk in _expand_chunks(design, args.n):
             sys.stdout.write(chunk)
             if csv:
                 csv.write(chunk)

@@ -152,12 +152,6 @@ def _symmetric_regime(k_factors: int, lower: int) -> str:
     return kind
 
 
-def _check_identity_moments(design: OrbitDesign) -> None:
-    m = design_moments(design)
-    if not m.all_zero():
-        raise OrbitDesignError(f"construction failed to zero the moments: {m}")
-
-
 class WideDesignSpec(NamedTuple):
     """A fully efficient design mixing the outermost, an intermediate, and the
     central symmetric orbits; alpha is the mixing proportion of the outer
@@ -228,7 +222,8 @@ def wide_design(k_factors: int, lower: int, ell: Optional[int] = None) -> WideDe
         numerators[ell] = n_ell * halves
     numerators[K // 2] = q - 2 * (n_low + n_ell)
     design = OrbitDesign._from_numerators(K, numerators, q * halves, symmetric=True)
-    _check_identity_moments(design)
+    if not (m := design_moments(design)).all_zero():
+        raise OrbitDesignError(f"construction failed to zero the moments: {m}")
     return WideDesignSpec(K, lower, ell, alpha, design)
 
 
@@ -429,8 +424,8 @@ def optimal_design(
     if kind != "narrow":
         design = wide_design(K, effective, ell).design
         report = kw_check(design, lower, upper, tol)
-        # wide_design refuses any nonzero moment (_check_identity_moments), and
-        # kw_check returns those moments: M = I, whose log det is exactly 0.
+        # wide_design refuses any nonzero moment and kw_check returns those
+        # moments: M = I, whose log det is exactly 0.
         ld = 0.0
     elif not region.symmetric():
         raise UnsupportedRegionError(

@@ -172,23 +172,16 @@ def kw_check(
     poly = sensitivity_poly(K, m)
 
     # The moments are exact, so the quartic is integers over one denominator:
-    # the scan runs in integers and rounds once per reported value.  An even
-    # quartic (c1 = c3 = 0, every symmetric design) takes one value at t and
-    # -t, so orbit k > K/2 copies orbit K - k when the scan has passed it.
+    # the scan runs in integers and rounds once per reported value.  argmax
+    # is the lowest orbit of the maximum.
     scale = poly.denominator
     c0, c1, c2, c3, c4 = poly.numerators
-    even = c1 == c3 == 0
-    values, per_orbit = {}, {}
-    for k in range(lower, upper + 1):
-        if even and lower <= K - k < k:
-            values[k], per_orbit[k] = values[K - k], per_orbit[K - k]
-            continue
-        t = 2 * k - K
-        values[k] = value = (((c4 * t + c3) * t + c2) * t + c1) * t + c0
-        per_orbit[k] = value / scale
-    argmax = max(values, key=values.get)
-    max_violation = (values[argmax] - p * scale) / scale
-    return KwReport(max_violation, argmax, per_orbit, p, tol, m)
+    ts = range(2 * lower - K, 2 * upper - K + 1, 2)
+    values = [(((c4 * t + c3) * t + c2) * t + c1) * t + c0 for t in ts]
+    top = max(values)
+    argmax = lower + values.index(top)
+    per_orbit = {k: value / scale for k, value in enumerate(values, lower)}
+    return KwReport((top - p * scale) / scale, argmax, per_orbit, p, tol, m)
 
 
 @lru_cache(maxsize=None)

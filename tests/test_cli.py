@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import ast
+import hashlib
 import inspect
 import json
 import math
@@ -784,6 +785,30 @@ def test_one_default_tolerance():
     parser = orbitdesign.cli.build_parser()
     assert parser.parse_args(["optimal", "--k", "6", "--lower", "2"]).tol is KW_TOL
     assert parser.parse_args(["verify", "d.json"]).tol is KW_TOL
+
+
+# sha256 of the stdout of seven commands: both tables, three expands and three
+# optimals (the CI job "Frozen outputs" checks the same).
+FROZEN_OUTPUTS = {
+    "tables --which both": "ab4da2c923b1d26d417ce91eeeee71c054a02bf5c1cbf3a18e68b4b65ce3a0a6",
+    "expand --k 18 --lower 3": "99d35e5e8db86cee88732a427aeff3c2553258541ea8460b9e9c7eb2307c4ace",
+    "expand --k 19 --lower 6": "29c69ce6f348fbfa59ee9b1db99a481c796001004118ff4398513dfdfe27f41a",
+    "expand --k 20 --lower 3": "0cee179dfded935e455c6051bca53f9114f295c2839b1d6af3cd5e803b6a1a5f",
+    "optimal --k 14292 --lower 7000":
+        "589c453710a4248b45ed7bb0992eea0406a9654c6e323aa7fa4c339927106663",
+    "optimal --k 20 --lower 8": "bb776827794999561d7163eb767ec4d778d1e64531984709068f759761e69fe1",
+    "optimal --k 10 --lower 2 --upper 9":
+        "09675284e7a67df74db67bda53843ad7dffe5e1986ccfd57aa849f7ec5bf0f56",
+}
+
+
+def test_frozen_command_outputs(capsys):
+    digests = {}
+    for command in FROZEN_OUTPUTS:
+        code, out, _ = run_cli(capsys, *command.split())
+        assert code == 0, command
+        digests[command] = hashlib.sha256(out.encode()).hexdigest()
+    assert digests == FROZEN_OUTPUTS
 
 
 def test_cli_imports_no_private_names():

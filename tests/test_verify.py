@@ -234,6 +234,16 @@ class TestIdentityCase:
             for lower, upper in ((L, K - L), (0, K)):
                 assert_same_report(kw_check(design, lower, upper), general_scan(design, lower, upper))
 
+    def test_narrow_reports_on_one_sided_ranges(self):
+        # A narrow design fills [L, K - L]; the ranges one orbit longer on
+        # one side are the one-sided ranges that contain it.
+        regions = [(K, L) for K in range(4, 101) for L in range(K // 2) if regime(K, L) == "narrow"]
+        assert len(regions) == 500
+        for K, L in regions:
+            design = narrow_design(K, L).design
+            for lower, upper in ((L, K - L), (L - 1, K - L), (L, K - L + 1)):
+                assert_same_report(kw_check(design, lower, upper), general_scan(design, lower, upper))
+
     def test_zero_moments_skip_the_inverse(self, certificate_calls):
         report = kw_check(wide_design(20, 3).design, 3, 17)
         assert certificate_calls == {"sensitivity_poly": 0, "inverse_coefficients": 0}
