@@ -127,7 +127,7 @@ def _write_design_csv(path: str, design: OrbitDesign) -> None:
 
 
 def _load_design_file(path: str):
-    """Parse and validate a design file; returns (design, k, lower, upper).
+    """Parse and validate a design file; returns (design, lower, upper).
 
     Unknown keys are rejected, weights must be finite, nonnegative and sum
     to 1 within 1e-9 (then renormalized), and every orbit must lie inside
@@ -198,7 +198,7 @@ def _load_design_file(path: str):
         shown = float(total) if total <= sys.float_info.max else math.inf
         raise OrbitDesignError(f"design file: orbit weights sum to {shown:.12g}, not 1")
     weights = {k: w / total for k, w in weights.items()}
-    return OrbitDesign(k_factors, weights), k_factors, lower, upper
+    return OrbitDesign(k_factors, weights), lower, upper
 
 
 def _cmd_optimal(args: argparse.Namespace) -> int:
@@ -212,13 +212,13 @@ def _cmd_optimal(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    design, k_factors, lower, upper = _load_design_file(args.file)
+    design, lower, upper = _load_design_file(args.file)
     if args.lower is not None:
         lower = args.lower
     if args.upper is not None:
         upper = args.upper
     report = kw_check(design, lower, upper, args.tol)
-    print(f"design: K = {k_factors}, region {lower} <= active <= {upper}")
+    print(f"design: K = {design.k_factors}, region {lower} <= active <= {upper}")
     print(f"{'k':>4} {'psi(k)':>20} {'psi(k) - p':>14}")
     for k in sorted(report.per_orbit):
         value = report.per_orbit[k]
@@ -400,12 +400,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_opt.add_argument("--tol", type=_tolerance, default=KW_TOL, help="KW check tolerance")
     p_opt.add_argument("--json", metavar="PATH", help="write the design file here")
     p_opt.add_argument("--csv", metavar="PATH", help="write orbit weights as CSV")
+    p_opt.set_defaults(handler=_cmd_optimal)
 
     p_ver = sub.add_parser("verify", help="equivalence-theorem check of a design file")
     p_ver.add_argument("file", help="design file (JSON)")
     p_ver.add_argument("--lower", type=int, default=None, help="override region lower bound")
     p_ver.add_argument("--upper", type=int, default=None, help="override region upper bound")
     p_ver.add_argument("--tol", type=_tolerance, default=KW_TOL, help="KW check tolerance")
+    p_ver.set_defaults(handler=_cmd_verify)
 
     p_tab = sub.add_parser("tables", help="regenerate the optimal-design tables")
     p_tab.add_argument(
@@ -414,6 +416,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_tab.add_argument("--k", type=int, default=None, help="restrict to one K")
     p_tab.add_argument("--csv", metavar="PATH", help="also write CSV here")
+    p_tab.set_defaults(handler=_cmd_tables)
 
     p_exp = sub.add_parser("expand", help="list all supported design points")
     p_exp.add_argument("file", nargs="?", help="design file (JSON); omit to construct one")
@@ -425,22 +428,15 @@ def build_parser() -> argparse.ArgumentParser:
         "--n", type=_sample_size, default=None, help="sample size for rounded counts"
     )
     p_exp.add_argument("--csv", metavar="PATH", help="also write CSV here")
+    p_exp.set_defaults(handler=_cmd_expand)
     return parser
-
-
-_HANDLERS = {
-    "optimal": _cmd_optimal,
-    "verify": _cmd_verify,
-    "tables": _cmd_tables,
-    "expand": _cmd_expand,
-}
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return _HANDLERS[args.command](args)
+        return args.handler(args)
     except (SingularDesignError, UnsupportedRegionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_SINGULAR

@@ -44,16 +44,14 @@ from fractions import Fraction
 from functools import cache
 from itertools import chain, combinations
 from operator import index, mul
-from typing import TYPE_CHECKING, NamedTuple, Union
+from typing import TYPE_CHECKING, NamedTuple
 
 from .exceptions import SingularDesignError
 from .moments import MomentSet, design_moments
-from .orbits import OrbitDesign, check_factor_count
+from .orbits import OrbitDesign, Weight, check_factor_count
 
 if TYPE_CHECKING:
     import numpy as np
-
-Numeric = Union[Fraction, float, int]
 
 
 class ModelDims(NamedTuple):
@@ -90,7 +88,7 @@ class Block(NamedTuple):
     """One block of an invariant matrix and how often it repeats in the spectrum."""
 
     name: str
-    matrix: tuple[tuple[Numeric, ...], ...]
+    matrix: tuple[tuple[Weight, ...], ...]
     mult: int
 
 
@@ -133,7 +131,7 @@ def assemble_general(k_factors: int, m: MomentSet, *, exact: bool = False) -> In
     one, m1, m2, m3, m4 = (Fraction(v) if exact else float(v) for v in (1, m.m1, m.m2, m.m3, m.m4))
     s = build_s_matrix(K).astype(kind)
 
-    def full(rows: int, cols: int, value: Numeric) -> np.ndarray:
+    def full(rows: int, cols: int, value: Weight) -> np.ndarray:
         return np.full((rows, cols), value, dtype=kind)
 
     dense = np.block([
@@ -149,7 +147,7 @@ def assemble_general(k_factors: int, m: MomentSet, *, exact: bool = False) -> In
 
 
 def information_blocks(
-    k_factors: int, m1: Numeric, m2: Numeric, m3: Numeric, m4: Numeric, one: Numeric = 1
+    k_factors: int, m1: Weight, m2: Weight, m3: Weight, m4: Weight, one: Weight = 1
 ) -> tuple[Block, ...]:
     """The blocks A, B, lambda_I of the information matrix with moments m1..m4.
 
@@ -175,7 +173,7 @@ def information_blocks(
     return blocks + (Block("lambda_I", ((one - 2 * m2 + m4,),), n - K),)
 
 
-def _adjugate(a: tuple[tuple[Numeric, ...], ...]):
+def _adjugate(a: tuple[tuple[Weight, ...], ...]):
     """Adjugate and determinant of a 1x1, 2x2 or 3x3 matrix."""
     if len(a) == 1:
         return ((1,),), a[0][0]

@@ -31,12 +31,9 @@ from collections import namedtuple
 from fractions import Fraction
 from functools import cache
 from operator import index, mul
-from typing import Union
 
 from .exceptions import OrbitDesignError
-from .orbits import OrbitDesign, check_orbit_index
-
-Numeric = Union[Fraction, float, int]
+from .orbits import OrbitDesign, Weight, check_orbit_index
 
 #: The one Fraction design_moments returns for every vanishing moment.
 ZERO = Fraction(0)
@@ -53,7 +50,7 @@ class MomentSet(namedtuple("MomentSet", "m1 m2 m3 m4")):
 
     __slots__ = ()
 
-    def __new__(cls, m1: Numeric, m2: Numeric, m3: Numeric, m4: Numeric) -> "MomentSet":
+    def __new__(cls, m1: Weight, m2: Weight, m3: Weight, m4: Weight) -> "MomentSet":
         self = super().__new__(cls, m1, m2, m3, m4)
         for name, value in zip(cls._fields, self):
             # Small slack: float mixing can overshoot the exact bound by ulps.

@@ -11,6 +11,7 @@ constructor reads a mapping of weights into them; the exact constructors
 hand over the integers directly (``OrbitDesign._from_numerators``), and such
 a design builds its ``Fraction`` weights only when they are first read.
 Every design, region and model needs K >= 2 (``check_factor_count``).
+``Weight`` (Fraction, float or int) is the one alias that types every number.
 
 Scalar quantities of an orbit -- its size, moments and weights -- exist for
 any K.  Listing its points costs C(K, k), so one rule bounds every listing:
@@ -34,7 +35,7 @@ from typing import Iterator, Mapping, Optional, Union
 
 from .exceptions import OrbitDesignError
 
-#: Orbit weights are exact rationals where the construction permits, floats otherwise.
+#: Weights, moments and matrix entries: exact rationals where the construction permits.
 Weight = Union[Fraction, float, int]
 
 # The largest orbit a listing holds: the central orbit of K = 64.  A larger
@@ -87,13 +88,11 @@ def listed_size(k_factors: int, k: int) -> int:
     return size
 
 
-def weight_per_point(weight: Weight, size: int) -> Weight:
-    """weight / size, the weight of each point of an orbit of that size.  A
-    float weight is divided exactly and rounded once, for every size (float /
-    int would round a size above 2^53 first)."""
-    if isinstance(weight, float):
-        return float(Fraction(weight) / size)
-    return weight / size
+def weight_per_point(weight: Weight, size: int) -> float:
+    """weight / size as a float, the weight of each point of an orbit of
+    that size: divided exactly and rounded once, for every weight and size
+    (float / int would round a size above 2^53 first)."""
+    return float(Fraction(weight) / size)
 
 
 def enumerate_orbit(k_factors: int, k: int) -> Iterator[tuple[int, ...]]:

@@ -43,7 +43,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from functools import lru_cache
+from functools import cache
 from operator import mul
 from typing import TYPE_CHECKING, NamedTuple
 
@@ -106,7 +106,7 @@ class KwReport(NamedTuple):
         )
 
 
-@lru_cache(maxsize=None)
+@cache
 def quartic_directions(k_factors: int) -> tuple[tuple[tuple[int, ...], ...], int]:
     """Integer vectors v_0..v_4 and the scale D with a_i = (N . v_i) / (L D)
     for M^-1 = N / L flattened block by block, row by row.
@@ -184,7 +184,7 @@ def kw_check(
     return KwReport((top - p * scale) / scale, argmax, per_orbit, p, tol, m)
 
 
-@lru_cache(maxsize=None)
+@cache
 def _orbit_gram(k_factors: int, k: int) -> np.ndarray:
     """Exact integer sum of f(x) f(x)^T over orbit k (cached, read-only)."""
     import numpy as np

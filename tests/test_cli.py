@@ -8,6 +8,7 @@ import inspect
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -809,6 +810,59 @@ def test_frozen_command_outputs(capsys):
         assert code == 0, command
         digests[command] = hashlib.sha256(out.encode()).hexdigest()
     assert digests == FROZEN_OUTPUTS
+
+
+# Exit code and sha256 of the stdout of verify on the design files that
+# optimal --json writes: n.json (K = 6, L = 2), w.json (K = 12, L = 3) and
+# n40.json (K = 40, L = 18); the CI job "Frozen outputs" checks the hashes.
+VERIFY_FILES = {
+    "n.json": "optimal --k 6 --lower 2",
+    "w.json": "optimal --k 12 --lower 3",
+    "n40.json": "optimal --k 40 --lower 18",
+}
+FROZEN_VERIFY_OUTPUTS = {
+    "verify n.json": (0, "ad619192cf219169c3ce9d97d1fbb8cfdac62cafb373fad6662c36152c69fbcd"),
+    "verify w.json": (0, "c776780a3064a074acd519f32b4ed2616ed0c5adb7201c00f76d49cdf9495b21"),
+    # The wider region [1, 5] adds orbits 1 and 5, where psi exceeds p.
+    "verify n.json --lower 1 --upper 5":
+        (4, "8b1ababe61e7f3713a162d49819a01a85973d157ad9a862ccabb409bc821ab53"),
+    "verify n40.json": (0, "8444d9314e1faa86528bb055a076e0ce6c5ef108f77c816c7031c653f669d2d0"),
+    "verify w.json --lower 2 --upper 11":
+        (0, "55d5384fdf7dcafe7a5bd407ce7e7967297b9f066ae91cc55831ba9388cb2278"),
+}
+
+
+def test_frozen_verify_outputs(capsys, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    for name, command in VERIFY_FILES.items():
+        code, _, _ = run_cli(capsys, *command.split(), "--json", name)
+        assert code == 0, command
+    results = {}
+    for command in FROZEN_VERIFY_OUTPUTS:
+        code, out, _ = run_cli(capsys, *command.split())
+        results[command] = code, hashlib.sha256(out.encode()).hexdigest()
+    assert results == FROZEN_VERIFY_OUTPUTS
+
+
+# What each help page must name: the subcommands at the top, and every
+# argument a subcommand declares.
+HELP_NAMES = {
+    (): ("optimal", "verify", "tables", "expand"),
+    ("optimal",): ("--k", "--lower", "--upper", "--ell", "--tol", "--json", "--csv"),
+    ("verify",): ("file", "--lower", "--upper", "--tol"),
+    ("tables",): ("--which", "--k", "--csv"),
+    ("expand",): ("file", "--k", "--lower", "--upper", "--ell", "--n", "--csv"),
+}
+
+
+@pytest.mark.parametrize("command", HELP_NAMES, ids=lambda c: " ".join(c) or "top")
+def test_help_exits_zero_and_names_every_option(capsys, command):
+    with pytest.raises(SystemExit) as exc:
+        main([*command, "--help"])
+    assert exc.value.code == 0
+    out = capsys.readouterr().out
+    for name in HELP_NAMES[command]:
+        assert re.search(rf"(?<![\w-]){re.escape(name)}(?![\w-])", out), (command, name)
 
 
 def test_cli_imports_no_private_names():

@@ -288,6 +288,11 @@ class TestPointWeight:
         # 2^53 < C(57, 25): float / size would round the size first.
         w = 0.13436424411240122
         assert weight_per_point(w, math.comb(57, 25)) == 1.3531861540661757e-17
+        # Fraction and int weights take the same rule and return a float too.
+        for w, size in ((Fraction(1, 3), math.comb(57, 25)), (1, math.comb(1030, 515))):
+            per_point = weight_per_point(w, size)
+            assert type(per_point) is float
+            assert per_point == float(Fraction(w) / size) > 0
 
     def test_designs_k50_to_70_divide_exactly(self):
         # Every orbit of every optimal design for K = 50..70; many of their
